@@ -46,9 +46,11 @@ from .coxeter_moves import (
 )
 from .errors import InvariantViolation, WordCapExceeded
 from .graphs import (
+    Analysis,
     Edge,
     IntersectionTable,
     LabeledGraph,
+    analyse,
     build_gamma,
     build_table,
     build_word_graph,

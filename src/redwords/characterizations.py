@@ -24,12 +24,11 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .classes import partition
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation
-from .graphs import build_gamma, is_tree
+from .graphs import analyse
 from .permutation import Permutation
-from .reduced_words import DEFAULT_WORD_CAP, WordSet, enumerate_words
+from .reduced_words import DEFAULT_WORD_CAP, WordSet
 
 # Counts stay below 2^53 (exact in JSON / IEEE doubles) through n = 30.
 MAX_COUNT_N = 30
@@ -50,10 +49,8 @@ def bound_status(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> BoundSta
     The bounds themselves are theorems, so a violation raises rather than
     being reported back as data.
     """
-    ws = enumerate_words(w, cap=cap)
-    b = len(partition(ws, BRAID))
-    c = len(partition(ws, COMMUTATION))
-    r = len(ws)
+    an = analyse(w, cap=cap)
+    r, b, c = len(an.word_set), len(an.partition(BRAID)), len(an.partition(COMMUTATION))
     if not b + c - 1 <= r <= b * c:
         raise InvariantViolation(
             f"bounds failed for {list(w.window)}: b={b} c={c} r={r}"
@@ -199,10 +196,7 @@ def lower_pattern_from_words(word_set: WordSet) -> bool:
 
 def is_circuit_free(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> bool:
     """True iff the incidence graph Gamma(w) is a tree."""
-    ws = enumerate_words(w, cap=cap)
-    bp = partition(ws, BRAID)
-    cp = partition(ws, COMMUTATION)
-    return is_tree(build_gamma(bp, cp))
+    return analyse(w, cap=cap).circuit_free
 
 
 def _check_count_n(n: int) -> None:

@@ -4,12 +4,16 @@ Classes are connected components of the word graph restricted to one move
 kind, computed with a union-find over word indices.  Class ids are assigned
 by the lexicographic rank of each class's minimal word, so partitions are
 deterministic and independent of how the input happened to be produced.
+
+This module holds the package's one copy of each graph primitive: the
+index-based move-edge loop ``move_edges``, the union-find ``components`` and
+the breadth-first 2-colouring ``odd_components``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation
@@ -42,12 +46,72 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _kind_edges(
-    words: Sequence[Word], kind: str, index: dict[Word, int] | None = None
+def components(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Component label of each vertex 0..n-1, by union-find over the edges.
+
+    Unions keep the smaller root, so every root is its component's least
+    vertex, and components are numbered in the order of their least vertex.
+    """
+    parent = list(range(n))
+    for u, v in edges:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru < rv:
+            parent[rv] = ru
+        elif rv < ru:
+            parent[ru] = rv
+    labels = [0] * n
+    count = 0
+    for x in range(n):
+        root = _find(parent, x)
+        if root == x:
+            labels[x] = count
+            count += 1
+        else:
+            labels[x] = labels[root]
+    return labels
+
+
+def odd_components(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Least vertex of each component of the graph on 0..n-1 with no 2-colouring.
+
+    One breadth-first 2-colouring, started from each uncoloured vertex in
+    increasing order; a self-loop fails its component like any odd cycle.
+    """
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    colour = [-1] * n
+    odd = []
+    for start in range(n):
+        if colour[start] != -1:
+            continue
+        colour[start] = 0
+        frontier = [start]
+        clash = False
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in adjacency[x]:
+                    if colour[y] == -1:
+                        colour[y] = colour[x] ^ 1
+                        nxt.append(y)
+                    elif colour[y] == colour[x]:
+                        clash = True
+            frontier = nxt
+        if clash:
+            odd.append(start)
+    return odd
+
+
+def move_edges(
+    words: Sequence[Word], kind: str, index: dict[Word, int]
 ) -> list[tuple[int, int]]:
-    """All unordered word-index pairs differing by one move of the given kind."""
-    if index is None:
-        index = {u: k for k, u in enumerate(words)}
+    """All index pairs (k, v), k < v, of words one move of the given kind apart.
+
+    Listed by word, then by position.  A neighbour missing from ``index``
+    raises KeyError: the words are not closed under the moves.
+    """
     edges: list[tuple[int, int]] = []
     if kind == COMMUTATION:
         for k, u in enumerate(words):
@@ -78,35 +142,22 @@ def partition_with_edges(
     Pass a prebuilt ``word_set.index()`` to share it between both kinds.
     """
     words = word_set.words
-    edges = _kind_edges(words, kind, index)
-    parent = list(range(len(words)))
-    for u, v in edges:
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            if ru < rv:
-                parent[rv] = ru
-            else:
-                parent[ru] = rv
-    groups: dict[int, list[int]] = {}
-    for k in range(len(words)):
-        groups.setdefault(_find(parent, k), []).append(k)
-    # Roots are minimal members because unions always keep the smaller index,
-    # and word indices are already in lexicographic order.
-    roots = sorted(groups)
-    class_of = [0] * len(words)
-    classes = []
-    for cid, root in enumerate(roots):
-        members = groups[root]
-        classes.append(tuple(members))
-        for k in members:
-            class_of[k] = cid
-    reps = tuple(words[cls[0]] for cls in classes)
+    edges = move_edges(words, kind, word_set.index() if index is None else index)
+    # Word indices are in lexicographic order and components are numbered by
+    # their least member, so class ids follow the minimal words.
+    class_of = components(len(words), edges)
+    classes: list[list[int]] = []
+    for k, cid in enumerate(class_of):
+        if cid == len(classes):
+            classes.append([k])
+        else:
+            classes[cid].append(k)
     part = ClassPartition(
         kind=kind,
         word_set=word_set,
         class_of=tuple(class_of),
-        classes=tuple(classes),
-        representatives=reps,
+        classes=tuple(map(tuple, classes)),
+        representatives=tuple(words[cls[0]] for cls in classes),
     )
     return part, edges
 
@@ -206,37 +257,12 @@ def verify_braid_class_graph(class_words: Sequence[Word], length: int) -> bool:
         shape = braid_class_shape(class_words, length)
     except InvariantViolation:
         return False
-    if len(class_words) != shape.size:
-        return False
     index = {u: k for k, u in enumerate(class_words)}
-    adjacency: list[list[int]] = [[] for _ in class_words]
-    edge_count = 0
-    for k, u in enumerate(class_words):
-        for i in range(1, len(u) - 1):
-            a, b = u[i - 1], u[i]
-            if u[i + 1] == a and abs(a - b) == 1:
-                v = index.get(u[: i - 1] + bytes((b, a, b)) + u[i + 2 :])
-                if v is None:
-                    return False  # a braid move escapes the given set: not a class
-                adjacency[k].append(v)
-                if v > k:
-                    edge_count += 1
-    if edge_count != path_product_edge_count(shape.x, shape.y):
+    try:
+        edges = move_edges(class_words, BRAID, index)
+    except KeyError:
+        return False  # a braid move escapes the given set: not a class
+    if len(edges) != path_product_edge_count(shape.x, shape.y):
         return False
-    # Connectivity and bipartiteness in one breadth-first 2-coloring.
-    color = [-1] * len(class_words)
-    color[0] = 0
-    frontier = [0]
-    seen = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adjacency[u]:
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    seen += 1
-                    nxt.append(v)
-                elif color[v] == color[u]:
-                    return False
-        frontier = nxt
-    return seen == len(class_words)
+    n = len(class_words)
+    return not any(components(n, edges)) and not odd_components(n, edges)

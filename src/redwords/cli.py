@@ -15,10 +15,10 @@ from typing import Sequence
 
 from . import __version__
 from .characterizations import catalan, count_lower, count_upper
-from .classes import partition
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation, WordCapExceeded
 from .graphs import (
+    analyse,
     build_gamma,
     build_table,
     build_word_graph,
@@ -29,7 +29,7 @@ from .graphs import (
 from .permutation import Permutation, parse_window, window_text
 from .reduced_words import DEFAULT_WORD_CAP, enumerate_words, word_text
 from .scan import CHECK_GROUPS, ScanOptions, scan
-from .weak_order import interval
+from .weak_order import AGREE, interval
 
 SCHEMA = 1
 
@@ -170,8 +170,7 @@ def _cmd_words(args) -> int:
 
 def _cmd_classes(args) -> int:
     w = _perm(args)
-    ws = enumerate_words(w, cap=args.cap)
-    part = partition(ws, args.kind)
+    part = analyse(w, cap=args.cap).partition(args.kind)
     label = "B" if args.kind == BRAID else "C"
     if args.format == "json":
         _emit_json({
@@ -188,8 +187,8 @@ def _cmd_classes(args) -> int:
 
 def _cmd_table(args) -> int:
     w = _perm(args)
-    ws = enumerate_words(w, cap=args.cap)
-    table = build_table(partition(ws, BRAID), partition(ws, COMMUTATION))
+    an = analyse(w, cap=args.cap)
+    table = build_table(an.partition(BRAID), an.partition(COMMUTATION))
     grid = table.to_rows()
     if args.format == "json":
         _emit_json({
@@ -216,15 +215,14 @@ def _cmd_table(args) -> int:
 
 def _cmd_graph(args) -> int:
     w = _perm(args)
-    ws = enumerate_words(w, cap=args.cap)
-    g = build_word_graph(ws)
-    style = "word"
-    if args.which == "gc":
-        g, style = contract(g, COMMUTATION), "class"
-    elif args.which == "gb":
-        g, style = contract(g, BRAID), "class"
-    elif args.which == "gamma":
-        g, style = build_gamma(partition(ws, BRAID), partition(ws, COMMUTATION)), "class"
+    an = analyse(w, cap=args.cap)
+    if args.which == "gamma":
+        g = build_gamma(an.partition(BRAID), an.partition(COMMUTATION))
+    else:
+        g = build_word_graph(an.word_set)
+        if args.which != "word":
+            g = contract(g, COMMUTATION if args.which == "gc" else BRAID)
+    style = "word" if args.which == "word" else "class"
     if args.format == "json":
         _emit_json({
             "schema": SCHEMA,
@@ -368,7 +366,7 @@ def _cmd_conjecture(args) -> int:
     )
     report = scan(options)
     agreements = sum(
-        1 for rec in report.records if rec.conjecture_status == "agree"
+        1 for rec in report.records if rec.conjecture_status == AGREE
     )
     skipped = report.skipped_count
     counterexamples = [list(win) for win in report.conjecture_counterexamples]

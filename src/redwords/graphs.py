@@ -6,17 +6,28 @@ G_c(w) (vertices are commutation classes); contracting the braid edges gives
 G_b(w).  Gamma(w) is the bipartite incidence graph on braid classes and
 commutation classes with one edge per reduced word, and the intersection
 table arranges the same data as a grid with at most one word per cell.
+
+``analyse(w)`` builds the per-permutation ``Analysis`` that the scan, the
+bound and circuit-freeness functions and the CLI read from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .classes import ClassPartition
+from .classes import (
+    ClassPartition,
+    components,
+    move_edges,
+    odd_components,
+    partition_with_edges,
+)
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation
-from .reduced_words import Word, WordSet, word_text
+from .permutation import Permutation
+from .reduced_words import DEFAULT_WORD_CAP, Word, WordSet, enumerate_words, word_text
 
 INCIDENCE = "incidence"
 
@@ -44,13 +55,6 @@ class LabeledGraph:
     def kind_count(self, kind: str) -> int:
         return sum(1 for e in self.edges if e.kind == kind)
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.labels]
-        for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        return adj
-
 
 def build_word_graph(word_set: WordSet) -> LabeledGraph:
     """G(w): one vertex per word, one labeled edge per supported move.
@@ -59,24 +63,13 @@ def build_word_graph(word_set: WordSet) -> LabeledGraph:
     with every unordered pair recorded once.
     """
     words = word_set.words
-    index = {u: k for k, u in enumerate(words)}
-    c_edges: list[Edge] = []
-    b_edges: list[Edge] = []
-    for k, u in enumerate(words):
-        for i in range(len(u) - 1):
-            a, b = u[i], u[i + 1]
-            if abs(a - b) > 1:
-                v = index[u[:i] + bytes((b, a)) + u[i + 2 :]]
-                if v > k:
-                    c_edges.append(Edge(k, v, COMMUTATION))
-        for i in range(1, len(u) - 1):
-            a, b = u[i - 1], u[i]
-            if u[i + 1] == a and abs(a - b) == 1:
-                v = index[u[: i - 1] + bytes((b, a, b)) + u[i + 2 :]]
-                if v > k:
-                    b_edges.append(Edge(k, v, BRAID))
-    labels = tuple(word_text(u) for u in words)
-    return LabeledGraph(labels=labels, edges=tuple(c_edges + b_edges))
+    index = word_set.index()
+    edges = tuple(
+        Edge(u, v, kind)
+        for kind in (COMMUTATION, BRAID)
+        for u, v in move_edges(words, kind, index)
+    )
+    return LabeledGraph(labels=tuple(word_text(u) for u in words), edges=edges)
 
 
 def contract(g: LabeledGraph, kind: str) -> LabeledGraph:
@@ -86,31 +79,13 @@ def contract(g: LabeledGraph, kind: str) -> LabeledGraph:
     contracting braid edges yields G_b (vertices B1, B2, ...).  Remaining
     edges are deduplicated and self-loops dropped.
     """
-    n = g.vertex_count
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in g.edges:
-        if e.kind == kind:
-            ru, rv = find(e.u), find(e.v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-    comp_id: dict[int, int] = {}
-    for v in range(n):
-        root = find(v)
-        if root not in comp_id:
-            comp_id[root] = len(comp_id)
+    comp = components(g.vertex_count, ((e.u, e.v) for e in g.edges if e.kind == kind))
     prefix = "C" if kind == COMMUTATION else "B"
-    labels = tuple(f"{prefix}{k + 1}" for k in range(len(comp_id)))
+    labels = tuple(f"{prefix}{k + 1}" for k in range(max(comp, default=-1) + 1))
     kept = set()
     for e in g.edges:
         if e.kind != kind:
-            cu, cv = comp_id[find(e.u)], comp_id[find(e.v)]
+            cu, cv = comp[e.u], comp[e.v]
             if cu != cv:
                 kept.add((min(cu, cv), max(cu, cv), e.kind))
     edges = tuple(Edge(u, v, k) for u, v, k in sorted(kept))
@@ -118,44 +93,11 @@ def contract(g: LabeledGraph, kind: str) -> LabeledGraph:
 
 
 def is_connected(g: LabeledGraph) -> bool:
-    if g.vertex_count <= 1:
-        return True
-    adj = g.adjacency()
-    seen = [False] * g.vertex_count
-    seen[0] = True
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    nxt.append(v)
-        frontier = nxt
-    return count == g.vertex_count
+    return not any(components(g.vertex_count, ((e.u, e.v) for e in g.edges)))
 
 
 def is_bipartite(g: LabeledGraph) -> bool:
-    color = [-1] * g.vertex_count
-    adj = g.adjacency()
-    for start in range(g.vertex_count):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if color[v] == -1:
-                        color[v] = color[u] ^ 1
-                        nxt.append(v)
-                    elif color[v] == color[u]:
-                        return False
-            frontier = nxt
-    return True
+    return not odd_components(g.vertex_count, ((e.u, e.v) for e in g.edges))
 
 
 def is_tree(g: LabeledGraph) -> bool:
@@ -172,27 +114,16 @@ def _check_same_word_set(bp: ClassPartition, cp: ClassPartition) -> None:
 def build_gamma(bp: ClassPartition, cp: ClassPartition) -> LabeledGraph:
     """Gamma(w): vertices B1..Bb then C1..Cc, one witness-labeled edge per word.
 
-    A duplicate (braid class, commutation class) pair would mean some
-    intersection holds two words, which is impossible; the builder raises
-    rather than deduplicating.
+    The edges are the filled cells of the intersection table, so a duplicate
+    (braid class, commutation class) pair raises there.
     """
-    _check_same_word_set(bp, cp)
-    words = bp.word_set.words
-    b = len(bp.classes)
+    table = build_table(bp, cp)
+    b = table.rows
     labels = tuple(f"B{k + 1}" for k in range(b)) + tuple(
-        f"C{k + 1}" for k in range(len(cp.classes))
+        f"C{k + 1}" for k in range(table.cols)
     )
-    seen: dict[tuple[int, int], Word] = {}
-    for k, u in enumerate(words):
-        key = (bp.class_of[k], cp.class_of[k])
-        if key in seen:
-            raise InvariantViolation(
-                f"braid class B{key[0] + 1} and commutation class C{key[1] + 1} share "
-                f"two words, {word_text(seen[key])} and {word_text(u)}"
-            )
-        seen[key] = u
     edges = tuple(
-        Edge(bi, b + ci, INCIDENCE, word) for (bi, ci), word in sorted(seen.items())
+        Edge(bi, b + ci, INCIDENCE, word) for (bi, ci), word in sorted(table.cells.items())
     )
     return LabeledGraph(labels=labels, edges=edges)
 
@@ -245,53 +176,70 @@ def jump_property(rows: int, cols: int, filled: set[tuple[int, int]]) -> bool:
     are mutually reachable by in-row / in-column jumps, and there are at
     least rows + cols - 1 of them.
     """
-    if rows < 1 or cols < 1:
+    if rows < 1 or cols < 1 or len(filled) < rows + cols - 1:
         return False
-    if len(filled) < rows + cols - 1:
-        return False
-    row_seen = [False] * rows
-    col_seen = [False] * cols
-    for r, c in filled:
-        row_seen[r] = True
-        col_seen[c] = True
-    if not (all(row_seen) and all(col_seen)):
-        return False
-    # Cells sharing a row or column are one jump apart; union them through
-    # per-row and per-column anchors.
-    cells = sorted(filled)
-    cell_id = {rc: k for k, rc in enumerate(cells)}
-    parent = list(range(len(cells)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    row_anchor: dict[int, int] = {}
-    col_anchor: dict[int, int] = {}
-    for rc in cells:
-        k = cell_id[rc]
-        r, c = rc
-        if r in row_anchor:
-            union(row_anchor[r], k)
-        else:
-            row_anchor[r] = k
-        if c in col_anchor:
-            union(col_anchor[c], k)
-        else:
-            col_anchor[c] = k
-    root = find(0)
-    return all(find(k) == root for k in range(len(cells)))
+    # Cells sharing a row or column are one jump apart, so the cells are
+    # mutually reachable exactly when rows and columns, joined by one edge
+    # per filled cell, form a connected graph; on two or more vertices that
+    # also puts a filled cell in every row and column.
+    return not any(components(rows + cols, ((r, rows + c) for r, c in filled)))
 
 
 def verify_jump_property(table: IntersectionTable) -> bool:
     return jump_property(table.rows, table.cols, set(table.cells))
+
+
+class Analysis:
+    """One permutation's R(w), read by every caller that needs more than words.
+
+    The word index and each partition, together with the move edges that
+    induce it, are built the first time they are asked for, so a caller pays
+    only for what it reads.  The pair set holds one (braid class, commutation
+    class) pair per word: the edges of Gamma(w) and the filled cells of T(w).
+    """
+
+    def __init__(self, word_set: WordSet):
+        self.word_set = word_set
+        self._built: dict[str, tuple[ClassPartition, list[tuple[int, int]]]] = {}
+
+    @cached_property
+    def index(self) -> dict[Word, int]:
+        return self.word_set.index()
+
+    def _partition_with_edges(self, kind: str):
+        got = self._built.get(kind)
+        if got is None:
+            got = self._built[kind] = partition_with_edges(self.word_set, kind, self.index)
+        return got
+
+    def partition(self, kind: str) -> ClassPartition:
+        return self._partition_with_edges(kind)[0]
+
+    def edges(self, kind: str) -> list[tuple[int, int]]:
+        """Move edges of one kind as (k, v) word-index pairs with k < v."""
+        return self._partition_with_edges(kind)[1]
+
+    @cached_property
+    def pairs(self) -> set[tuple[int, int]]:
+        return set(zip(self.partition(BRAID).class_of, self.partition(COMMUTATION).class_of))
+
+    @cached_property
+    def gamma_connected(self) -> bool:
+        """Gamma(w) is connected, which is also G(w) connected: within a class
+        the words are joined by that class's own moves."""
+        b, c = len(self.partition(BRAID)), len(self.partition(COMMUTATION))
+        return jump_property(b, c, self.pairs)
+
+    @property
+    def circuit_free(self) -> bool:
+        """Gamma(w) is a tree: connected, with one edge fewer than vertices."""
+        b, c = len(self.partition(BRAID)), len(self.partition(COMMUTATION))
+        return self.gamma_connected and len(self.pairs) == b + c - 1
+
+
+def analyse(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> Analysis:
+    """Enumerate R(w) under the cap (WordCapExceeded above it) for analysis."""
+    return Analysis(enumerate_words(w, cap=cap))
 
 
 _EDGE_STYLE = {COMMUTATION: "solid", BRAID: "dashed", INCIDENCE: "solid"}

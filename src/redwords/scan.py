@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import permutations as _lex_windows
 
 from .characterizations import (
@@ -35,17 +35,13 @@ from .characterizations import (
     lower_predicate_pattern,
     upper_predicate,
 )
-from .classes import (
-    braid_class_shape,
-    partition_with_edges,
-    path_product_edge_count,
-)
+from .classes import braid_class_shape, odd_components, path_product_edge_count
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation, WordCapExceeded
-from .graphs import jump_property
+from .graphs import analyse
 from .permutation import Permutation
-from .reduced_words import DEFAULT_WORD_CAP, count_words, enumerate_words
-from .weak_order import AGREE, conjecture_predicate, interval_by_closure
+from .reduced_words import DEFAULT_WORD_CAP, count_words
+from .weak_order import AGREE, SKIPPED, classify_conjecture, interval_by_closure
 
 SCHEMA_VERSION = 1
 
@@ -102,53 +98,20 @@ class ScanRecord:
     violations: tuple[str, ...] = ()
 
     def to_json_obj(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "record",
-            "n": self.n,
-            "window": list(self.window),
-            "length": self.length,
-            "fully_commutative": self.fully_commutative,
-            "single_braid_class": self.single_braid_class,
-            "upper_predicate": self.upper_predicate,
-            "lower_predicate": self.lower_predicate,
-            "skipped": self.skipped,
-            "r": self.r,
-            "b": self.b,
-            "c": self.c,
-            "achieves_upper": self.achieves_upper,
-            "achieves_lower": self.achieves_lower,
-            "circuit_free": self.circuit_free,
-            "braid_shape_conforming": self.braid_shape_conforming,
-            "width": self.width,
-            "support_size": self.support_size,
-            "conjecture_status": self.conjecture_status,
-            "violations": list(self.violations),
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj.update(
+            schema=SCHEMA_VERSION,
+            type="record",
+            window=list(self.window),
+            violations=list(self.violations),
+        )
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScanRecord":
-        return cls(
-            n=obj["n"],
-            window=tuple(obj["window"]),
-            length=obj["length"],
-            fully_commutative=obj["fully_commutative"],
-            single_braid_class=obj["single_braid_class"],
-            upper_predicate=obj["upper_predicate"],
-            lower_predicate=obj["lower_predicate"],
-            skipped=obj["skipped"],
-            r=obj["r"],
-            b=obj["b"],
-            c=obj["c"],
-            achieves_upper=obj["achieves_upper"],
-            achieves_lower=obj["achieves_lower"],
-            circuit_free=obj["circuit_free"],
-            braid_shape_conforming=obj["braid_shape_conforming"],
-            width=obj["width"],
-            support_size=obj["support_size"],
-            conjecture_status=obj["conjecture_status"],
-            violations=tuple(obj["violations"]),
-        )
+        values = {f.name: obj[f.name] for f in fields(cls)}
+        values.update(window=tuple(values["window"]), violations=tuple(values["violations"]))
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -211,47 +174,36 @@ def verify_permutation(
     single_braid = w.inversions_pairwise_share_letter()
     upper_pred = upper_predicate(w)
     lower_pred = lower_predicate_pattern(w)
+    common = dict(
+        n=w.n,
+        window=w.window,
+        length=w.length(),
+        fully_commutative=fully_commutative,
+        single_braid_class=single_braid,
+        upper_predicate=upper_pred,
+        lower_predicate=lower_pred,
+    )
 
-    width = support_size = None
+    iv = None
     if "weak_order" in checks or "conjecture" in checks:
         iv = interval_by_closure(w)
-        width = iv.width
-        support_size = iv.support_size
+        common.update(width=iv.width, support_size=iv.support_size)
 
     if not (checks & _ENUMERATING):
-        return ScanRecord(
-            n=w.n,
-            window=w.window,
-            length=w.length(),
-            fully_commutative=fully_commutative,
-            single_braid_class=single_braid,
-            upper_predicate=upper_pred,
-            lower_predicate=lower_pred,
-            width=width,
-            support_size=support_size,
-        )
+        return ScanRecord(**common)
 
     try:
-        count_words(w, cap=word_cap)
+        an = analyse(w, cap=word_cap)
     except WordCapExceeded:
         return ScanRecord(
-            n=w.n,
-            window=w.window,
-            length=w.length(),
-            fully_commutative=fully_commutative,
-            single_braid_class=single_braid,
-            upper_predicate=upper_pred,
-            lower_predicate=lower_pred,
+            **common,
             skipped="cap",
-            width=width,
-            support_size=support_size,
-            conjecture_status="skipped" if "conjecture" in checks else None,
+            conjecture_status=SKIPPED if "conjecture" in checks else None,
         )
 
-    ws = enumerate_words(w, cap=word_cap)
-    index = ws.index()
-    bp, b_edges = partition_with_edges(ws, BRAID, index)
-    cp, c_edges = partition_with_edges(ws, COMMUTATION, index)
+    ws = an.word_set
+    bp, b_edges = an.partition(BRAID), an.edges(BRAID)
+    cp, c_edges = an.partition(COMMUTATION), an.edges(COMMUTATION)
     r, b, c = len(ws), len(bp), len(cp)
     bc = bp.class_of
     cc = cp.class_of
@@ -259,28 +211,11 @@ def verify_permutation(
     # One word per (braid class, commutation class) pair is the orthogonality
     # theorem; the pair set doubles as the edge set of Gamma(w) and as the
     # filled cells of the intersection table.
-    pairs = {(bc[k], cc[k]) for k in range(r)}
-    cells_unique = len(pairs) == r
-    if not cells_unique:
+    pairs = an.pairs
+    if len(pairs) != r:
         violations.append(f"some braid and commutation class share {r - len(pairs) + 1} words")
-
-    # Gamma connectivity, which is also G(w) connectivity: within a class the
-    # words are connected by that class's own moves, so connecting classes
-    # through shared words connects everything.
-    parent = list(range(b + c))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for bi, ci in pairs:
-        ru, rv = find(bi), find(b + ci)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    gamma_connected = len({find(x) for x in range(b + c)}) == 1
-    circuit_free = gamma_connected and len(pairs) == b + c - 1
+    gamma_connected = an.gamma_connected
+    circuit_free = an.circuit_free
 
     braid_shape_conforming = None
     if "classes" in checks:
@@ -302,17 +237,19 @@ def verify_permutation(
                 continue
             if class_edge_count[k] != path_product_edge_count(shape.x, shape.y):
                 braid_shape_conforming = False
-        for kind_violation in _braid_classes_bipartite(bp, b_edges):
-            violations.append(kind_violation)
+        # Braid classes are the components of the braid edges, so each class
+        # that is not bipartite is one odd component.
+        for root in odd_components(r, b_edges):
+            violations.append(f"braid class {bc[root]} is not bipartite")
 
     if "graphs" in checks:
         if not gamma_connected:
             violations.append("Gamma(w) (equivalently G(w)) is disconnected")
-        if not _edges_bipartite([(cc[u], cc[v]) for u, v in b_edges]):
+        if odd_components(c, ((cc[u], cc[v]) for u, v in b_edges)):
             violations.append("G_c(w) is not bipartite")
-        if not _edges_bipartite([(bc[u], bc[v]) for u, v in c_edges]):
+        if odd_components(b, ((bc[u], bc[v]) for u, v in c_edges)):
             violations.append("G_b(w) is not bipartite")
-        if not jump_property(b, c, pairs):
+        if not gamma_connected:
             violations.append("the intersection table fails the jump property")
 
     achieves_upper = r == b * c
@@ -344,22 +281,10 @@ def verify_permutation(
 
     conjecture_status = None
     if "conjecture" in checks:
-        predicted = conjecture_predicate(w)
-        if predicted == circuit_free:
-            conjecture_status = AGREE
-        elif predicted:
-            conjecture_status = "counterexample:predicate_without_lower_bound"
-        else:
-            conjecture_status = "counterexample:lower_bound_without_predicate"
+        conjecture_status = classify_conjecture(iv.predicts_circuit_free, circuit_free)
 
     return ScanRecord(
-        n=w.n,
-        window=w.window,
-        length=w.length(),
-        fully_commutative=fully_commutative,
-        single_braid_class=single_braid,
-        upper_predicate=upper_pred,
-        lower_predicate=lower_pred,
+        **common,
         r=r,
         b=b,
         c=c,
@@ -367,50 +292,9 @@ def verify_permutation(
         achieves_lower=achieves_lower,
         circuit_free=circuit_free,
         braid_shape_conforming=braid_shape_conforming,
-        width=width,
-        support_size=support_size,
         conjecture_status=conjecture_status,
         violations=tuple(violations),
     )
-
-
-def _edges_bipartite(raw_edges: list[tuple[int, int]]) -> bool:
-    """2-colorability of the graph spanned by the given (possibly loopy) pairs."""
-    adjacency: dict[int, set[int]] = {}
-    for u, v in raw_edges:
-        if u == v:
-            return False
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
-    color: dict[int, int] = {}
-    for start in adjacency:
-        if start in color:
-            continue
-        color[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adjacency[x]:
-                    if y not in color:
-                        color[y] = color[x] ^ 1
-                        nxt.append(y)
-                    elif color[y] == color[x]:
-                        return False
-            frontier = nxt
-    return True
-
-
-def _braid_classes_bipartite(bp, b_edges) -> list[str]:
-    """Each braid class, as a subgraph of G(w), must itself be bipartite."""
-    per_class: dict[int, list[tuple[int, int]]] = {}
-    for u, v in b_edges:
-        per_class.setdefault(bp.class_of[u], []).append((u, v))
-    out = []
-    for k in sorted(per_class):
-        if not _edges_bipartite(per_class[k]):
-            out.append(f"braid class {k} is not bipartite")
-    return out
 
 
 def _verify_window(args: tuple) -> ScanRecord:
@@ -418,6 +302,32 @@ def _verify_window(args: tuple) -> ScanRecord:
     return verify_permutation(
         Permutation(window), checks=frozenset(checks), word_cap=word_cap
     )
+
+
+def _verify_batch(batch: list[tuple]) -> list[ScanRecord]:
+    return [_verify_window(args) for args in batch]
+
+
+def _costliest_first(args: list[tuple], workers: int) -> list[list[tuple]]:
+    """Split the work into batches that hand the longest permutations out first.
+
+    r(w) grows steeply with the length of w (w0 of S_6 alone is about a third
+    of the scan), so a long permutation left in a late chunk would end the run
+    on one worker while the others idle.  Sorting by length, longest first,
+    and starting with one permutation per batch lets the pool balance the
+    costly ones; the sizes then double, one batch per worker at each size, up
+    to 1/(8 * workers) of the permutations.
+    """
+    order = sorted(args, key=lambda a: -Permutation(a[0]).length())
+    cap = max(1, len(order) // (workers * 8))
+    batches, start, size = [], 0, 1
+    while start < len(order):
+        for _ in range(workers):
+            if start < len(order):
+                batches.append(order[start:start + size])
+                start += size
+        size = min(cap, 2 * size)
+    return batches
 
 
 def scan(options: ScanOptions) -> ScanReport:
@@ -437,8 +347,10 @@ def scan(options: ScanOptions) -> ScanReport:
         args = [(win, tuple(sorted(options.checks)), options.word_cap) for win in todo]
         if options.workers > 1 and len(todo) > 1:
             with ProcessPoolExecutor(max_workers=options.workers) as pool:
-                chunk = max(1, len(args) // (options.workers * 8))
-                computed = list(pool.map(_verify_window, args, chunksize=chunk))
+                batches = _costliest_first(args, options.workers)
+                computed = [
+                    rec for recs in pool.map(_verify_batch, batches) for rec in recs
+                ]
         else:
             computed = [_verify_window(a) for a in args]
 
@@ -450,7 +362,7 @@ def scan(options: ScanOptions) -> ScanReport:
     counterexamples = tuple(
         rec.window
         for rec in records
-        if rec.conjecture_status not in (None, AGREE, "skipped")
+        if rec.conjecture_status not in (None, AGREE, SKIPPED)
     )
     report = ScanReport(
         n=n,

@@ -33,6 +33,18 @@ class WeakInterval:
     def size(self) -> int:
         return sum(self.rank_sizes)
 
+    @property
+    def predicts_circuit_free(self) -> bool:
+        """The conjectured conditions for Gamma(w) to be a tree: one commutation
+        class, one braid class, width 2, or width = support = 3."""
+        w, wid = self.w, self.width
+        return (
+            w.is_321_avoiding()
+            or w.inversions_pairwise_share_letter()
+            or wid == 2
+            or (wid == 3 and self.support_size == 3)
+        )
+
 
 def support(w: Permutation) -> frozenset[int]:
     """Letters appearing in any (equivalently, every) reduced word of w."""
@@ -99,16 +111,20 @@ def conjecture_predicate(w: Permutation) -> bool:
     Entirely enumeration-free: the class-count conditions go through their
     window-level characterizations and the width through the closure interval.
     """
-    if w.is_321_avoiding() or w.inversions_pairwise_share_letter():
-        return True
-    iv = interval_by_closure(w)
-    wid = iv.width
-    return wid == 2 or (wid == 3 and iv.support_size == 3)
+    return interval_by_closure(w).predicts_circuit_free
 
 
 AGREE = "agree"
 PREDICATE_WITHOUT_LOWER_BOUND = "counterexample:predicate_without_lower_bound"
 LOWER_BOUND_WITHOUT_PREDICATE = "counterexample:lower_bound_without_predicate"
+SKIPPED = "skipped"  # the scan's status for a permutation skipped at the word cap
+
+
+def classify_conjecture(predicted: bool, circuit_free: bool) -> str:
+    """The status of one permutation: AGREE, or which side the mismatch is on."""
+    if predicted == circuit_free:
+        return AGREE
+    return PREDICATE_WITHOUT_LOWER_BOUND if predicted else LOWER_BOUND_WITHOUT_PREDICATE
 
 
 def check_conjecture(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> str:
@@ -117,8 +133,4 @@ def check_conjecture(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> str:
     A mismatch is recorded, not raised: the statement under test is a
     conjecture, and a counterexample would be a finding rather than a bug.
     """
-    predicted = conjecture_predicate(w)
-    actual = is_circuit_free(w, cap=cap)
-    if predicted == actual:
-        return AGREE
-    return PREDICATE_WITHOUT_LOWER_BOUND if predicted else LOWER_BOUND_WITHOUT_PREDICATE
+    return classify_conjecture(conjecture_predicate(w), is_circuit_free(w, cap=cap))

@@ -11,7 +11,7 @@ from redwords.classes import (
     path_product_edge_count,
     verify_braid_class_graph,
 )
-from redwords.coxeter_moves import BRAID, COMMUTATION
+from redwords.coxeter_moves import BRAID, COMMUTATION, neighbors
 from redwords.errors import InvariantViolation
 from redwords.permutation import all_permutations, identity, parse_window
 from redwords.reduced_words import WordSet, enumerate_words, parse_word, word_text
@@ -187,3 +187,19 @@ def test_partition_with_edges_counts():
     _, c_edges = partition_with_edges(ws, COMMUTATION)
     assert len(b_edges) == 2
     assert len(c_edges) == 4
+
+
+@pytest.mark.parametrize("kind", [BRAID, COMMUTATION])
+def test_partition_edges_match_word_level_neighbors_on_s5(kind):
+    # Independent oracle: the word-level move generator, one word at a time.
+    for w in all_permutations(5):
+        ws = enumerate_words(w)
+        index = ws.index()
+        _, edges = partition_with_edges(ws, kind)
+        expected = set()
+        for k, u in enumerate(ws.words):
+            for move, v in neighbors(u):
+                if move.kind == kind:
+                    expected.add((min(k, index[v]), max(k, index[v])))
+        assert len(edges) == len(set(edges))
+        assert set(edges) == expected

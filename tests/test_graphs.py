@@ -98,6 +98,8 @@ def test_is_bipartite_matches_brute_force_two_coloring():
             tuple("abcde"),
             tuple(Edge(i, (i + 1) % 5, BRAID) for i in range(5)),
         ),
+        # a self-loop is an odd cycle: no 2-coloring exists
+        LabeledGraph(tuple("abc"), (Edge(0, 1, BRAID), Edge(2, 2, BRAID))),
     ]
     for g in samples:
         assert is_bipartite(g) == brute(g)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -112,6 +113,23 @@ def test_scan_worker_determinism():
     assert one == many
 
 
+@pytest.mark.parametrize("n,workers", [(4, 3), (6, 2), (8, 2)])
+def test_pool_batches_cover_every_permutation_longest_first(n, workers):
+    import importlib
+    from itertools import permutations
+
+    scan_module = importlib.import_module("redwords.scan")
+    args = [(win, (), 0) for win in permutations(range(1, n + 1))]
+    batches = scan_module._costliest_first(args, workers)
+    flat = [a for batch in batches for a in batch]
+    assert sorted(flat) == args
+    lengths = [scan_module.Permutation(a[0]).length() for a in flat]
+    assert lengths == sorted(lengths, reverse=True)
+    assert batches[0] == [(tuple(range(n, 0, -1)), (), 0)]
+    cap = len(args) // (workers * 8)
+    assert all(1 <= len(batch) <= max(1, cap) for batch in batches)
+
+
 def test_scan_enumeration_free_mode_counts_exactly():
     rep = scan(ScanOptions(n=5, checks=frozenset()))
     assert rep.upper_achiever_count == 45
@@ -189,3 +207,25 @@ def test_scan_aborts_on_violation(monkeypatch):
     ))
     with pytest.raises(InvariantViolation, match="deliberately broken"):
         scan_module.scan(ScanOptions(n=3))
+
+
+# sha256 of the full JSON Lines output under the default options, as first
+# released; any change to a record, the report or the serialization shows here.
+PINNED_JSONL_SHA256 = {
+    4: "efd036b8dcd5f40c44644282b49fa8c92a09295fbd07acf219b5a246d9985520",
+    5: "6743cfbf3c7668e7946208cc7f1a81fb2866fccfcfd590d4379dad7336828f7d",
+    6: "8570f3187e747fdb5079854e47c4c155da06262aa3bbc93700f4f81bf1452caf",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_scan_jsonl_is_pinned_for_s4_and_s5(scan_s5):
+    assert _sha256(scan(ScanOptions(n=4)).jsonl()) == PINNED_JSONL_SHA256[4]
+    assert _sha256(scan_s5.jsonl()) == PINNED_JSONL_SHA256[5]
+
+
+def test_scan_jsonl_is_pinned_for_s6(scan_s6):
+    assert _sha256(scan_s6.report.jsonl()) == PINNED_JSONL_SHA256[6]
