@@ -6,7 +6,13 @@ the class incidence graph Gamma(w), and the intersection table T(w), and
 checks the bounds b + c - 1 <= |R(w)| <= b * c together with the exact
 characterizations and counts of the permutations achieving either bound.
 The scan harness reverifies all of it exhaustively for a whole S_n.
+
+The names from ``classes`` and ``graphs`` are loaded on first use: those
+modules load numpy, which the enumeration-free parts never need.
 """
+
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .characterizations import (
     BoundStatus,
@@ -20,16 +26,6 @@ from .characterizations import (
     lower_template_windows,
     upper_predicate,
     word_matches_lower_template,
-)
-from .classes import (
-    BraidClassShape,
-    ClassPartition,
-    braid_class_shape,
-    class_closure,
-    partition,
-    partition_with_edges,
-    path_product_edge_count,
-    verify_braid_class_graph,
 )
 from .coxeter_moves import (
     BRAID,
@@ -45,23 +41,6 @@ from .coxeter_moves import (
     supports_commutation,
 )
 from .errors import InvariantViolation, WordCapExceeded
-from .graphs import (
-    Analysis,
-    Edge,
-    IntersectionTable,
-    LabeledGraph,
-    analyse,
-    build_gamma,
-    build_table,
-    build_word_graph,
-    contract,
-    export_dot,
-    is_bipartite,
-    is_connected,
-    is_tree,
-    jump_property,
-    verify_jump_property,
-)
 from .permutation import (
     MAX_N,
     Permutation,
@@ -101,3 +80,46 @@ from .weak_order import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    **dict.fromkeys((
+        "BraidClassShape",
+        "ClassPartition",
+        "braid_class_shape",
+        "class_closure",
+        "partition",
+        "partition_with_edges",
+        "path_product_edge_count",
+        "verify_braid_class_graph",
+    ), "classes"),
+    **dict.fromkeys((
+        "Analysis",
+        "Edge",
+        "IntersectionTable",
+        "LabeledGraph",
+        "analyse",
+        "build_gamma",
+        "build_table",
+        "build_word_graph",
+        "contract",
+        "export_dot",
+        "is_bipartite",
+        "is_connected",
+        "is_tree",
+        "jump_property",
+        "verify_jump_property",
+    ), "graphs"),
+}
+
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + list(_LAZY)
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{module}"), name)
+    return value

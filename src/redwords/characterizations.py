@@ -26,7 +26,6 @@ from typing import Sequence
 
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation
-from .graphs import analyse
 from .permutation import Permutation
 from .reduced_words import DEFAULT_WORD_CAP, WordSet
 
@@ -49,6 +48,8 @@ def bound_status(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> BoundSta
     The bounds themselves are theorems, so a violation raises rather than
     being reported back as data.
     """
+    from .graphs import analyse
+
     an = analyse(w, cap=cap)
     r, b, c = len(an.word_set), len(an.partition(BRAID)), len(an.partition(COMMUTATION))
     if not b + c - 1 <= r <= b * c:
@@ -191,11 +192,13 @@ def lower_pattern_from_words(word_set: WordSet) -> bool:
         return True
     if w.length() > max(w.n, 5):
         return False
-    return any(word_matches_lower_template(u, w.n) for u in word_set.words)
+    return any(word_matches_lower_template(u, w.n) for u in word_set.rows.tolist())
 
 
 def is_circuit_free(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> bool:
     """True iff the incidence graph Gamma(w) is a tree."""
+    from .graphs import analyse
+
     return analyse(w, cap=cap).circuit_free
 
 

@@ -4,28 +4,24 @@ Exit codes: 0 success, 1 usage error, 2 a proved statement failed (an
 implementation bug, never bad input), 3 the word set exceeded the cap while
 --strict was set.  Without --strict a cap skip is reported on stderr and the
 run still exits 0.
+
+The subcommands that partition R(w) import the graph modules, and with them
+numpy, only when they run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from . import __version__
 from .characterizations import catalan, count_lower, count_upper
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation, WordCapExceeded
-from .graphs import (
-    analyse,
-    build_gamma,
-    build_table,
-    build_word_graph,
-    contract,
-    export_dot,
-    verify_jump_property,
-)
 from .permutation import Permutation, parse_window, window_text
 from .reduced_words import DEFAULT_WORD_CAP, enumerate_words, word_text
 from .scan import CHECK_GROUPS, ScanOptions, scan
@@ -99,9 +95,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first run rather than at import, and then reused: building
+    # it costs more than a small request.
+    return build_parser()
+
+
+@functools.cache
+def _fix_mmap_threshold() -> None:
+    """Keep glibc's malloc from raising its mmap threshold in this process.
+
+    By default, freeing a block above the threshold (128 KiB) raises the
+    threshold to that block's size, and the heap's trim threshold to twice
+    that.  After the numpy temporaries of one large request, a process that
+    goes on answering requests then keeps several MB of freed heap, and its
+    peak RSS moves by up to 10 MB with the order of the requests.  Setting
+    the threshold once pins it at the default.  The scans leave it alone:
+    there the pinned threshold costs about a fifth of the time.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return  # not glibc
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 128 * 1024)  # M_MMAP_THRESHOLD
+
+
 def run(argv: Sequence[str]) -> int:
     """Parse argv, execute, and return the exit code (no SystemExit)."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(list(argv))
     except _UsageError as exc:
@@ -109,6 +135,8 @@ def run(argv: Sequence[str]) -> int:
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
+    if hasattr(args, "window"):  # a one-permutation request, not a scan
+        _fix_mmap_threshold()
     try:
         return _dispatch(args)
     except _UsageError as exc:
@@ -150,18 +178,70 @@ def _emit_json(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+def _emit_json_around(obj: dict, key: str, write_value) -> None:
+    """Print ``obj`` as _emit_json would with obj[key] added, where the value
+    is written by ``write_value()`` straight to stdout, so that its JSON text
+    is never held whole.
+    """
+    text = json.dumps({**obj, key: None}, sort_keys=True, separators=(",", ":"))
+    head, tail = text.split(f'"{key}":null')
+    sys.stdout.write(f'{head}"{key}":')
+    write_value()
+    sys.stdout.write(tail + "\n")
+
+
+def _write_json_list(items: Iterable) -> None:
+    """Write the JSON array of ``items`` as _emit_json would, 1,024 at a time."""
+    sys.stdout.write("[")
+    items = iter(items)
+    sep = ""
+    while chunk := list(islice(items, 1024)):
+        sys.stdout.write(sep + json.dumps(chunk, sort_keys=True, separators=(",", ":"))[1:-1])
+        sep = ","
+    sys.stdout.write("]")
+
+
+def _write_json_word_list(ws) -> None:
+    """Write the JSON array of word_text(u) for the words of ``ws``.
+
+    It is rendered straight from the letter matrix, one column at a time, so
+    no str or bytes object is made per word (letters are single digits, as
+    n <= 10).  The text is made ``batch`` words at a time: a buffer as large as
+    the whole list, once freed, would make the C allocator keep later
+    allocations of that size on its heap instead of returning them.
+    """
+    import numpy as np
+
+    rows = ws.rows
+    r, length = rows.shape
+    if length == 0:
+        sys.stdout.write('["e"]')
+        return
+    batch = 1 << 14
+    sys.stdout.write("[")
+    for start in range(0, r, batch):
+        part = rows[start : start + batch]
+        text = np.empty((len(part), length + 3), dtype=np.uint8)
+        text[:, 0] = ord(",")
+        text[:, 1] = text[:, length + 2] = ord('"')
+        for j in range(length):
+            np.add(part[:, j], ord("0"), out=text[:, j + 2])
+        chars = text.ravel().data
+        sys.stdout.write(str(chars[1:] if start == 0 else chars, "ascii"))
+    sys.stdout.write("]")
+
+
 def _cmd_words(args) -> int:
     w = _perm(args)
     ws = enumerate_words(w, cap=args.cap)
     if args.format == "json":
-        _emit_json({
+        _emit_json_around({
             "schema": SCHEMA,
             "window": list(w.window),
             "n": w.n,
             "length": w.length(),
             "count": len(ws),
-            "words": [word_text(u) for u in ws.words],
-        })
+        }, "words", lambda: _write_json_word_list(ws))
     else:
         for u in ws.words:
             print(word_text(u))
@@ -169,6 +249,8 @@ def _cmd_words(args) -> int:
 
 
 def _cmd_classes(args) -> int:
+    from .graphs import analyse
+
     w = _perm(args)
     part = analyse(w, cap=args.cap).partition(args.kind)
     label = "B" if args.kind == BRAID else "C"
@@ -186,20 +268,22 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .graphs import analyse, build_table, verify_jump_property
+
     w = _perm(args)
     an = analyse(w, cap=args.cap)
     table = build_table(an.partition(BRAID), an.partition(COMMUTATION))
-    grid = table.to_rows()
     if args.format == "json":
-        _emit_json({
+        _emit_json_around({
             "schema": SCHEMA,
             "window": list(w.window),
             "rows": table.rows,
             "cols": table.cols,
-            "cells": grid,
             "jump_property": verify_jump_property(table),
-        })
-    elif args.format == "csv":
+        }, "cells", lambda: _write_json_list(table.iter_rows()))
+        return 0
+    grid = table.to_rows()
+    if args.format == "csv":
         print("," + ",".join(f"C{c + 1}" for c in range(table.cols)))
         for r, row in enumerate(grid):
             print(f"B{r + 1}," + ",".join(cell or "" for cell in row))
@@ -214,14 +298,16 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .graphs import analyse, build_gamma, build_word_graph, export_dot
+
     w = _perm(args)
     an = analyse(w, cap=args.cap)
     if args.which == "gamma":
         g = build_gamma(an.partition(BRAID), an.partition(COMMUTATION))
-    else:
+    elif args.which == "word":
         g = build_word_graph(an.word_set)
-        if args.which != "word":
-            g = contract(g, COMMUTATION if args.which == "gc" else BRAID)
+    else:
+        g = an.class_graph(COMMUTATION if args.which == "gc" else BRAID)
     style = "word" if args.which == "word" else "class"
     if args.format == "json":
         _emit_json({

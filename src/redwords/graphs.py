@@ -15,10 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .classes import (
     ClassPartition,
+    IndexPairs,
     components,
     move_edges,
     odd_components,
@@ -62,14 +65,12 @@ def build_word_graph(word_set: WordSet) -> LabeledGraph:
     Commutation edges are listed before braid edges, each by (word, position),
     with every unordered pair recorded once.
     """
-    words = word_set.words
-    index = word_set.index()
-    edges = tuple(
-        Edge(u, v, kind)
-        for kind in (COMMUTATION, BRAID)
-        for u, v in move_edges(words, kind, index)
-    )
-    return LabeledGraph(labels=tuple(word_text(u) for u in words), edges=edges)
+    edges = []
+    for kind in (COMMUTATION, BRAID):
+        found = move_edges(word_set.rows, kind)  # by position, then by word
+        by_word = np.argsort(found.u, kind="stable")
+        edges += (Edge(u, v, kind) for u, v in IndexPairs(found.u[by_word], found.v[by_word]))
+    return LabeledGraph(labels=tuple(word_text(u) for u in word_set.words), edges=tuple(edges))
 
 
 def contract(g: LabeledGraph, kind: str) -> LabeledGraph:
@@ -79,7 +80,7 @@ def contract(g: LabeledGraph, kind: str) -> LabeledGraph:
     contracting braid edges yields G_b (vertices B1, B2, ...).  Remaining
     edges are deduplicated and self-loops dropped.
     """
-    comp = components(g.vertex_count, ((e.u, e.v) for e in g.edges if e.kind == kind))
+    comp = components(g.vertex_count, ((e.u, e.v) for e in g.edges if e.kind == kind)).tolist()
     prefix = "C" if kind == COMMUTATION else "B"
     labels = tuple(f"{prefix}{k + 1}" for k in range(max(comp, default=-1) + 1))
     kept = set()
@@ -93,11 +94,11 @@ def contract(g: LabeledGraph, kind: str) -> LabeledGraph:
 
 
 def is_connected(g: LabeledGraph) -> bool:
-    return not any(components(g.vertex_count, ((e.u, e.v) for e in g.edges)))
+    return not components(g.vertex_count, ((e.u, e.v) for e in g.edges)).any()
 
 
 def is_bipartite(g: LabeledGraph) -> bool:
-    return not odd_components(g.vertex_count, ((e.u, e.v) for e in g.edges))
+    return not len(odd_components(g.vertex_count, ((e.u, e.v) for e in g.edges)))
 
 
 def is_tree(g: LabeledGraph) -> bool:
@@ -146,12 +147,20 @@ class IntersectionTable:
     def nonempty_count(self) -> int:
         return len(self.cells)
 
+    def iter_rows(self) -> Iterator[list[str | None]]:
+        """Dense rows in order, word text or None for empty cells, one at a time."""
+        by_row: list[list[tuple[int, Word]]] = [[] for _ in range(self.rows)]
+        for (r, c), word in self.cells.items():
+            by_row[r].append((c, word))
+        for filled in by_row:
+            row: list[str | None] = [None] * self.cols
+            for c, word in filled:
+                row[c] = word_text(word)
+            yield row
+
     def to_rows(self) -> list[list[str | None]]:
         """Dense row-major layout with word text, None for empty cells."""
-        grid: list[list[str | None]] = [[None] * self.cols for _ in range(self.rows)]
-        for (r, c), word in self.cells.items():
-            grid[r][c] = word_text(word)
-        return grid
+        return list(self.iter_rows())
 
 
 def build_table(bp: ClassPartition, cp: ClassPartition) -> IntersectionTable:
@@ -159,30 +168,32 @@ def build_table(bp: ClassPartition, cp: ClassPartition) -> IntersectionTable:
     _check_same_word_set(bp, cp)
     words = bp.word_set.words
     cells: dict[tuple[int, int], Word] = {}
-    for k, u in enumerate(words):
-        key = (bp.class_of[k], cp.class_of[k])
+    for u, key in zip(words, zip(bp.class_of.tolist(), cp.class_of.tolist())):
         if key in cells:
             raise InvariantViolation(
                 f"cell {key} would hold both {word_text(cells[key])} and {word_text(u)}"
             )
         cells[key] = u
-    return IntersectionTable(rows=len(bp.classes), cols=len(cp.classes), cells=cells)
+    return IntersectionTable(rows=len(bp), cols=len(cp), cells=cells)
 
 
-def jump_property(rows: int, cols: int, filled: set[tuple[int, int]]) -> bool:
+def jump_property(
+    rows: int, cols: int, filled: IndexPairs | Iterable[tuple[int, int]]
+) -> bool:
     """The array property behind the lower bound on |R(w)|.
 
     True iff every row and every column holds a filled cell, the filled cells
     are mutually reachable by in-row / in-column jumps, and there are at
     least rows + cols - 1 of them.
     """
+    filled = IndexPairs.of(filled)
     if rows < 1 or cols < 1 or len(filled) < rows + cols - 1:
         return False
     # Cells sharing a row or column are one jump apart, so the cells are
     # mutually reachable exactly when rows and columns, joined by one edge
     # per filled cell, form a connected graph; on two or more vertices that
     # also puts a filled cell in every row and column.
-    return not any(components(rows + cols, ((r, rows + c) for r, c in filled)))
+    return not components(rows + cols, IndexPairs(filled.u, rows + filled.v)).any()
 
 
 def verify_jump_property(table: IntersectionTable) -> bool:
@@ -192,36 +203,53 @@ def verify_jump_property(table: IntersectionTable) -> bool:
 class Analysis:
     """One permutation's R(w), read by every caller that needs more than words.
 
-    The word index and each partition, together with the move edges that
-    induce it, are built the first time they are asked for, so a caller pays
-    only for what it reads.  The pair set holds one (braid class, commutation
-    class) pair per word: the edges of Gamma(w) and the filled cells of T(w).
+    Each partition, together with the move edges that induce it, is built
+    the first time it is asked for, so a caller pays only for what it reads.
+    The pair set holds the distinct (braid class, commutation class) pairs
+    of the words: the edges of Gamma(w) and the filled cells of T(w).
     """
 
     def __init__(self, word_set: WordSet):
         self.word_set = word_set
-        self._built: dict[str, tuple[ClassPartition, list[tuple[int, int]]]] = {}
-
-    @cached_property
-    def index(self) -> dict[Word, int]:
-        return self.word_set.index()
+        self._built: dict[str, tuple[ClassPartition, IndexPairs]] = {}
 
     def _partition_with_edges(self, kind: str):
         got = self._built.get(kind)
         if got is None:
-            got = self._built[kind] = partition_with_edges(self.word_set, kind, self.index)
+            got = self._built[kind] = partition_with_edges(self.word_set, kind)
         return got
 
     def partition(self, kind: str) -> ClassPartition:
         return self._partition_with_edges(kind)[0]
 
-    def edges(self, kind: str) -> list[tuple[int, int]]:
+    def edges(self, kind: str) -> IndexPairs:
         """Move edges of one kind as (k, v) word-index pairs with k < v."""
         return self._partition_with_edges(kind)[1]
 
     @cached_property
-    def pairs(self) -> set[tuple[int, int]]:
-        return set(zip(self.partition(BRAID).class_of, self.partition(COMMUTATION).class_of))
+    def pairs(self) -> IndexPairs:
+        c = len(self.partition(COMMUTATION))
+        cells = _distinct(self.partition(BRAID).class_of * c + self.partition(COMMUTATION).class_of)
+        return IndexPairs(cells // c, cells % c)
+
+    def class_graph(self, kind: str) -> LabeledGraph:
+        """G_c for kind=COMMUTATION, G_b for kind=BRAID, from the index arrays.
+
+        The same graph as ``contract(build_word_graph(word_set), kind)``,
+        without building G(w): the classes of one kind, joined where a move
+        of the other kind joins two of their words.
+        """
+        part = self.partition(kind)
+        other = BRAID if kind == COMMUTATION else COMMUTATION
+        moves = self.edges(other)
+        a, b, n = part.class_of[moves.u], part.class_of[moves.v], len(part)
+        cells = _distinct(np.minimum(a, b) * n + np.maximum(a, b))
+        cells = cells[cells // n != cells % n]  # moves inside one class
+        prefix = "C" if kind == COMMUTATION else "B"
+        return LabeledGraph(
+            labels=tuple(f"{prefix}{k + 1}" for k in range(n)),
+            edges=tuple(Edge(u, v, other) for u, v in IndexPairs(cells // n, cells % n)),
+        )
 
     @cached_property
     def gamma_connected(self) -> bool:
@@ -235,6 +263,18 @@ class Analysis:
         """Gamma(w) is a tree: connected, with one edge fewer than vertices."""
         b, c = len(self.partition(BRAID)), len(self.partition(COMMUTATION))
         return self.gamma_connected and len(self.pairs) == b + c - 1
+
+
+def _distinct(values):
+    """The distinct values of an integer array, sorted.
+
+    One sort and a mask: np.unique takes a hash-table route that is about a
+    hundred times slower on these arrays (numpy 2.4).
+    """
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def analyse(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> Analysis:

@@ -1,21 +1,25 @@
 """Exhaustive enumeration of the reduced words R(w).
 
-A reduced word is stored as a ``bytes`` object whose entries are the 1-based
-generator indices, e.g. ``bytes((1, 2, 4, 3, 2))`` for the word 12432.  Bytes
-behave as immutable sequences of small ints, compare lexicographically, and
-keep the largest desk-scale word sets (292,864 words of length 15 for the
-longest element of S_6) compact.
+A reduced word is a sequence of 1-based generator indices, e.g. 12432.  One
+word on its own is a ``bytes`` object (``bytes((1, 2, 4, 3, 2))``); a whole
+R(w) is held as an (r, l) ``uint8`` letter matrix, one word per row, in
+lexicographic order.  Viewed as fixed-width byte strings (``row_keys``) the
+rows compare like ``memcmp``, which is lexicographic order for any n and l,
+so one ``np.searchsorted`` finds any word in the set.  numpy is imported on
+first use, so the enumeration-free parts of the package never load it.
 
-Enumeration uses the right-descent recursion: R(e) = {empty} and otherwise
-R(w) is the union over right descents i of R(w s_i) with the letter i
-appended.  Words ending in different letters come from different descents,
-so no duplicates can arise; the result is sorted, and sortedness plus strict
-increase is asserted afterwards.
+Enumeration uses the left-descent recursion: R(e) = {empty} and otherwise
+R(w) is the union over left descents a, in increasing order, of the letter a
+followed by R(s_a w).  Words starting with different letters come from
+different descents, so the rows come out already sorted and duplicate-free;
+the element s_a w is memoised over the interval, so each element's words are
+built once.  Strict increase is asserted afterwards, and the row count is
+checked against the independent count recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import WordCapExceeded
@@ -47,18 +51,61 @@ def is_reduced(word: Sequence[int], n: int) -> bool:
     return evaluate(word, n).length() == len(word)
 
 
-@dataclass(frozen=True)
 class WordSet:
-    """The complete R(target), sorted lexicographically and duplicate-free."""
+    """The complete R(target), sorted lexicographically and duplicate-free.
 
-    target: Permutation
-    words: tuple[Word, ...]
+    ``rows`` is the (r, l) ``uint8`` letter matrix.  ``words`` is the same
+    list as a tuple of ``bytes``, decoded on first use; pass ``words``
+    instead of ``rows`` to build a set from words already in hand.
+    """
+
+    def __init__(self, target: Permutation, words: Sequence[Word] | None = None, *, rows=None):
+        self.target = target
+        self.rows = letter_rows(words) if rows is None else rows
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WordSet):
+            return NotImplemented
+        import numpy as np
+
+        return self.target == other.target and np.array_equal(self.rows, other.rows)
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        if self.rows.shape[1] == 0:
+            return (b"",) * len(self.rows)
+        return tuple(row_keys(self.rows).tolist())
 
     def index(self) -> dict[Word, int]:
+        """Word -> position, for callers that hold words as bytes."""
         return {u: k for k, u in enumerate(self.words)}
+
+
+def letter_rows(words: Sequence[Sequence[int]]):
+    """The (len(words), l) ``uint8`` letter matrix of words that all have l letters."""
+    import numpy as np
+
+    length = len(words[0]) if len(words) else 0
+    if any(len(u) != length for u in words):
+        raise ValueError("the words do not all have the same length")
+    flat = np.frombuffer(b"".join(bytes(u) for u in words), dtype=np.uint8)
+    return flat.reshape(len(words), length)
+
+
+def row_keys(rows):
+    """Each row of a letter matrix as one fixed-width byte string (a view).
+
+    Letters are at least 1, so no row has the trailing zero bytes that numpy
+    strips from byte strings, and the keys order like the rows.
+    """
+    import numpy as np
+
+    if rows.shape[1] == 0:
+        return np.zeros(len(rows), dtype="S1")
+    return np.ascontiguousarray(rows).view(f"S{rows.shape[1]}").ravel()
 
 
 def count_words(w: Permutation, cap: int | None = None) -> int:
@@ -89,18 +136,38 @@ def count_words(w: Permutation, cap: int | None = None) -> int:
     return total
 
 
-def _expand(win: list[int], suffix: Word, out: list[Word]) -> None:
-    # Depth-first over right descents in increasing index order, building each
-    # word from its last letter backwards.
-    found = False
-    for i in range(len(win) - 1):
-        if win[i] > win[i + 1]:
-            found = True
-            win[i], win[i + 1] = win[i + 1], win[i]
-            _expand(win, bytes((i + 1,)) + suffix, out)
-            win[i], win[i + 1] = win[i + 1], win[i]
-    if not found:
-        out.append(suffix)
+def _letter_matrix(inv: tuple[int, ...], memo: dict):
+    """R(u) as an (r, l) ``uint8`` matrix whose rows are in lexicographic order.
+
+    Takes the inverse window of u: a is a left descent of u exactly when the
+    inverse has a descent at index a - 1, and s_a u swaps those two entries.
+    ``memo`` maps the inverse windows already done to their matrices.
+    """
+    import numpy as np
+
+    got = memo.get(inv)
+    if got is not None:
+        return got
+    blocks = []
+    lst = list(inv)
+    for i in range(len(inv) - 1):
+        if lst[i] > lst[i + 1]:
+            lst[i], lst[i + 1] = lst[i + 1], lst[i]
+            blocks.append((i + 1, _letter_matrix(tuple(lst), memo)))
+            lst[i], lst[i + 1] = lst[i + 1], lst[i]
+    if not blocks:
+        got = np.empty((1, 0), dtype=np.uint8)
+    else:
+        got = np.empty(
+            (sum(len(m) for _, m in blocks), blocks[0][1].shape[1] + 1), dtype=np.uint8
+        )
+        start = 0
+        for a, m in blocks:
+            got[start : start + len(m), 0] = a
+            got[start : start + len(m), 1:] = m
+            start += len(m)
+    memo[inv] = got
+    return got
 
 
 def enumerate_words(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> WordSet:
@@ -110,18 +177,17 @@ def enumerate_words(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> WordS
     ['12']
     """
     expected = count_words(w, cap=cap)
-    out: list[Word] = []
-    _expand(list(w.window), b"", out)
-    out.sort()
-    if len(out) != expected:
-        # The counting recursion and the depth-first expansion are independent
-        # routes; disagreement means one of them is broken.
+    rows = _letter_matrix(w.inverse().window, {})
+    if len(rows) != expected:
+        # The counting recursion and the letter-matrix recursion are
+        # independent routes; disagreement means one of them is broken.
         raise AssertionError(
-            f"enumeration produced {len(out)} words but the count recursion "
+            f"enumeration produced {len(rows)} words but the count recursion "
             f"says {expected} for {list(w.window)}"
         )
-    assert all(out[k] < out[k + 1] for k in range(len(out) - 1)), "duplicate words"
-    return WordSet(target=w, words=tuple(out))
+    keys = row_keys(rows)
+    assert (keys[1:] > keys[:-1]).all(), "duplicate words"
+    return WordSet(target=w, rows=rows)
 
 
 def word_text(word: Sequence[int]) -> str:

@@ -35,12 +35,10 @@ from .characterizations import (
     lower_predicate_pattern,
     upper_predicate,
 )
-from .classes import braid_class_shape, odd_components, path_product_edge_count
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation, WordCapExceeded
-from .graphs import analyse
 from .permutation import Permutation
-from .reduced_words import DEFAULT_WORD_CAP, count_words
+from .reduced_words import DEFAULT_WORD_CAP
 from .weak_order import AGREE, SKIPPED, classify_conjecture, interval_by_closure
 
 SCHEMA_VERSION = 1
@@ -192,6 +190,12 @@ def verify_permutation(
     if not (checks & _ENUMERATING):
         return ScanRecord(**common)
 
+    # The graph modules load numpy, which an enumeration-free scan never needs.
+    import numpy as np
+
+    from .classes import IndexPairs, braid_class_shape, odd_components, path_product_edge_count
+    from .graphs import analyse
+
     try:
         an = analyse(w, cap=word_cap)
     except WordCapExceeded:
@@ -220,34 +224,36 @@ def verify_permutation(
     braid_shape_conforming = None
     if "classes" in checks:
         ell = w.length()
-        class_edge_count = [0] * b
-        for u, v in b_edges:
-            if bc[u] != bc[v]:
-                violations.append("a braid move crossed braid classes")
-            class_edge_count[bc[u]] += 1
+        class_u, class_v = bc[b_edges.u], bc[b_edges.v]
+        crossed = int(np.count_nonzero(class_u != class_v))
+        violations += ["a braid move crossed braid classes"] * crossed
         # Shape conformance is a finding, not an invariant: cascading braid
         # moves make some classes longer presentation paths than the
-        # 2^x 3^y model from n = 5 on.
-        braid_shape_conforming = True
-        for k in range(b):
+        # 2^x 3^y model from n = 5 on.  The shape depends on the class size
+        # alone, so it is computed once per distinct size; range(size)
+        # stands in for a class of that size.
+        sizes, size_of = np.unique(bp.sizes, return_inverse=True)
+        shape_edges = []
+        for size in sizes.tolist():
             try:
-                shape = braid_class_shape(bp.class_words(k), ell)
+                shape = braid_class_shape(range(size), ell)
             except InvariantViolation:
-                braid_shape_conforming = False
+                shape_edges.append(-1)  # no edge count matches
                 continue
-            if class_edge_count[k] != path_product_edge_count(shape.x, shape.y):
-                braid_shape_conforming = False
+            shape_edges.append(path_product_edge_count(shape.x, shape.y))
+        class_edge_count = np.bincount(class_u, minlength=b)
+        braid_shape_conforming = bool((np.array(shape_edges)[size_of] == class_edge_count).all())
         # Braid classes are the components of the braid edges, so each class
         # that is not bipartite is one odd component.
-        for root in odd_components(r, b_edges):
+        for root in odd_components(r, b_edges).tolist():
             violations.append(f"braid class {bc[root]} is not bipartite")
 
     if "graphs" in checks:
         if not gamma_connected:
             violations.append("Gamma(w) (equivalently G(w)) is disconnected")
-        if odd_components(c, ((cc[u], cc[v]) for u, v in b_edges)):
+        if len(odd_components(c, IndexPairs(cc[b_edges.u], cc[b_edges.v]))):
             violations.append("G_c(w) is not bipartite")
-        if odd_components(b, ((bc[u], bc[v]) for u, v in c_edges)):
+        if len(odd_components(b, IndexPairs(bc[c_edges.u], bc[c_edges.v]))):
             violations.append("G_b(w) is not bipartite")
         if not gamma_connected:
             violations.append("the intersection table fails the jump property")
@@ -333,9 +339,10 @@ def _costliest_first(args: list[tuple], workers: int) -> list[list[tuple]]:
 def scan(options: ScanOptions) -> ScanReport:
     """Scan all of S_n, write JSON Lines if an output path is set, and report.
 
-    Re-running against an existing output file reuses its records (matched by
-    window and n) instead of recomputing them; the file is rewritten whole so
-    that the result is identical to a fresh run.
+    Re-running against an existing output file of the same n, checks and
+    cap reuses its records (matched by window) instead of recomputing them;
+    the file is rewritten whole so that the result is identical to a fresh
+    run.
     """
     n = options.n
     windows = list(_lex_windows(range(1, n + 1)))
@@ -406,10 +413,17 @@ def scan(options: ScanOptions) -> ScanReport:
 
 
 def _load_existing(options: ScanOptions) -> dict[tuple[int, ...], ScanRecord]:
+    """Records of an earlier run to reuse, keyed by window.
+
+    Records are reused only from a file whose report line names the same n,
+    the same checks and the same cap, since a record depends on all three;
+    a file without a report line is not reused at all.
+    """
     path = options.output_path
     if not path or not os.path.exists(path):
         return {}
     out: dict[tuple[int, ...], ScanRecord] = {}
+    same_run = False
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -419,36 +433,17 @@ def _load_existing(options: ScanOptions) -> dict[tuple[int, ...], ScanRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 continue  # a partial final line from an interrupted run
-            if obj.get("type") == "report":
+            if obj.get("schema") != SCHEMA_VERSION or obj.get("n") != options.n:
                 continue
-            if (
-                obj.get("type") == "record"
-                and obj.get("schema") == SCHEMA_VERSION
-                and obj.get("n") == options.n
-            ):
+            if obj.get("type") == "report":
+                same_run = (
+                    obj.get("checks") == sorted(options.checks)
+                    and obj.get("word_cap") == options.word_cap
+                )
+            elif obj.get("type") == "record":
                 try:
                     rec = ScanRecord.from_json_obj(obj)
                 except (KeyError, TypeError):
                     continue
                 out[rec.window] = rec
-    # Only reuse records whose field shape matches what the current checks
-    # and cap would produce, so a resumed run stays byte-identical to a
-    # fresh one.
-    wants_enum = bool(options.checks & _ENUMERATING)
-    wants_weak = bool(options.checks & {"weak_order", "conjecture"})
-    wants_conj = "conjecture" in options.checks
-    wants_classes = "classes" in options.checks
-    for rec in out.values():
-        has_enum = rec.r is not None or rec.skipped == "cap"
-        has_weak = rec.width is not None
-        has_conj = rec.conjecture_status is not None
-        has_classes = rec.braid_shape_conforming is not None
-        if has_enum != wants_enum or has_weak != wants_weak or has_conj != wants_conj:
-            return {}
-        if not rec.skipped and has_classes != wants_classes:
-            return {}
-        if rec.r is not None and rec.r > options.word_cap:
-            return {}  # computed under a larger cap than the current one
-        if rec.skipped == "cap" and count_words(Permutation(rec.window)) <= options.word_cap:
-            return {}  # skipped under a smaller cap than the current one
-    return out
+    return out if same_run else {}

@@ -122,6 +122,8 @@ def test_verify_braid_class_graph():
     assert verify_braid_class_graph([parse_word("14232"), parse_word("14323")], 5)
     # an incomplete class: braid moves escape the given set
     assert not verify_braid_class_graph(cls[:6], 11)
+    # words of different lengths are not a class
+    assert not verify_braid_class_graph([parse_word("121"), parse_word("1213")], 4)
 
 
 def test_braid_cascades_break_the_path_product_model():
@@ -203,3 +205,47 @@ def test_partition_edges_match_word_level_neighbors_on_s5(kind):
                     expected.add((min(k, index[v]), max(k, index[v])))
         assert len(edges) == len(set(edges))
         assert set(edges) == expected
+
+
+def _assert_engine_matches_word_level_oracle(ws, kind):
+    # Independent oracle: words one move apart by the word-level generator,
+    # and each class as the breadth-first closure of its least word.
+    index = ws.index()
+    part, edges = partition_with_edges(ws, kind)
+    expected = {
+        (k, index[v])
+        for k, u in enumerate(ws.words)
+        for move, v in neighbors(u)
+        if move.kind == kind and index[v] > k
+    }
+    assert len(edges) == len(expected) == len(set(edges))
+    assert set(edges) == expected
+    seen = set()
+    for cid, cls in enumerate(part.classes):
+        members = [ws.words[i] for i in cls]
+        assert class_closure(members[0], kind) == members
+        assert all(part.class_of[i] == cid for i in cls)
+        seen.update(cls)
+    assert seen == set(range(len(ws)))
+
+
+@pytest.mark.parametrize("kind", [BRAID, COMMUTATION])
+def test_partitions_match_class_closure_on_s5(kind):
+    for w in all_permutations(5):
+        _assert_engine_matches_word_level_oracle(enumerate_words(w), kind)
+
+
+@pytest.mark.parametrize("window", ["[3,4,5,6,7,8,9,10,1,2]", "[3,4,5,6,7,8,9,10,2,1]"])
+@pytest.mark.parametrize("kind", [BRAID, COMMUTATION])
+def test_engine_matches_word_level_oracle_on_long_words(window, kind):
+    # Letters up to 9 and words of 16 and 17 letters: 1,430 and 4,862 words.
+    ws = enumerate_words(parse_window(window))
+    assert ws.rows.shape == (len(ws), ws.target.length())
+    _assert_engine_matches_word_level_oracle(ws, kind)
+
+
+def test_a_set_missing_a_smaller_neighbour_is_not_closed():
+    # 212 lowers to 121 by a braid move; the engine only looks raising moves
+    # up, so the missing 121 shows in the count of lowering moves.
+    assert not verify_braid_class_graph([parse_word("212")], 3)
+    assert verify_braid_class_graph([parse_word("121"), parse_word("212")], 3)

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from redwords.cli import run
+from redwords.permutation import parse_window
+from redwords.reduced_words import enumerate_words, word_text
 
 
 @pytest.fixture()
@@ -214,3 +216,87 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "upper(4) = 16" in proc.stdout
+
+
+def _fresh_process(argv):
+    repo_src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "redwords", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(repo_src), "PATH": "/usr/bin:/bin"},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_process_answers_like_fresh_processes(cli):
+    # The parser is built once per process; a usage error must not leave
+    # state behind that changes the requests after it.
+    requests = [
+        ["words", "[25314]", "--format", "yaml"],
+        ["words", "[25314]", "--format", "json"],
+        ["classes", "--kind", "braid", "[25314]"],
+        ["scan", "--n", "3", "--checks", "nope"],
+        ["table", "[4132]", "--format", "csv"],
+        ["graph", "--which", "gc", "[25314]"],
+        ["counts", "--n", "5", "--format", "json"],
+        ["check", "[54321]", "--cap", "5", "--strict"],
+        ["interval", "[3421]"],
+    ]
+    for argv in requests:
+        assert cli(*argv) == _fresh_process(argv), argv
+
+
+@pytest.mark.parametrize("window", ["[1]", "[21]", "[54321]", "[3,4,5,6,7,8,9,10,2,1]"])
+def test_json_output_is_canonical(cli, window):
+    # The words and the table cells are written piecewise; the whole must be the
+    # compact, key-sorted JSON that one json.dumps of the object gives.
+    for argv in (
+        ["words", window],
+        ["classes", "--kind", "braid", window],
+        ["table", window],
+        ["graph", "--which", "word", window],
+        ["graph", "--which", "gamma", window],
+    ):
+        code, out, _ = cli(*argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+    code, out, _ = cli("words", window, "--format", "json")
+    assert json.loads(out)["words"] == [
+        word_text(u) for u in enumerate_words(parse_window(window)).words
+    ]
+
+
+def test_enumeration_free_paths_do_not_load_numpy():
+    repo_src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import io, sys, contextlib\n"
+        "import redwords\n"
+        "assert 'numpy' not in sys.modules, 'import redwords'\n"
+        "from redwords.scan import ScanOptions, scan\n"
+        "scan(ScanOptions(n=5, checks=frozenset({'weak_order'})))\n"
+        "assert 'numpy' not in sys.modules, 'weak_order scan'\n"
+        "from redwords.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['counts', '--n', '5']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'counts'\n"
+        "redwords.analyse\n"
+        "assert 'numpy' in sys.modules, 'analyse'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(repo_src), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_words_json_spans_several_batches(cli):
+    # 48,048 words: the word list is rendered in more than one piece.
+    code, out, _ = cli("words", "[564321]", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+    assert json.loads(out)["words"] == [
+        word_text(u) for u in enumerate_words(parse_window("[564321]")).words
+    ]

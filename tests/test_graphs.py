@@ -5,6 +5,7 @@ from redwords.coxeter_moves import BRAID, COMMUTATION
 from redwords.graphs import (
     Edge,
     LabeledGraph,
+    analyse,
     build_gamma,
     build_table,
     build_word_graph,
@@ -223,3 +224,13 @@ def test_export_dot():
     assert 'label="12432"' in gdot
     with pytest.raises(ValueError):
         export_dot(g, style="fancy")
+
+
+def test_class_graphs_from_the_analysis_match_contraction():
+    # Reference: contract G(w) edge by edge.
+    for n in (3, 4, 5):
+        for w in all_permutations(n):
+            an = analyse(w)
+            g = build_word_graph(an.word_set)
+            for kind in (BRAID, COMMUTATION):
+                assert an.class_graph(kind) == contract(g, kind)

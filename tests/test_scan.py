@@ -229,3 +229,35 @@ def test_scan_jsonl_is_pinned_for_s4_and_s5(scan_s5):
 
 def test_scan_jsonl_is_pinned_for_s6(scan_s6):
     assert _sha256(scan_s6.report.jsonl()) == PINNED_JSONL_SHA256[6]
+
+
+def test_scan_resume_requires_the_same_checks_and_cap(tmp_path, monkeypatch):
+    import importlib
+
+    scan_module = importlib.import_module("redwords.scan")
+    computed = []
+    real = scan_module._verify_window
+
+    def counting(args):
+        computed.append(args[0])
+        return real(args)
+
+    monkeypatch.setattr(scan_module, "_verify_window", counting)
+    out = tmp_path / "s4.jsonl"
+    scan(ScanOptions(n=4, checks=frozenset({"bounds"}), output_path=str(out)))
+    assert len(computed) == 24
+
+    # Records of a "bounds" scan have the same fields as those of a "graphs"
+    # scan, but they were not checked for the graph statements.
+    computed.clear()
+    rep = scan(ScanOptions(n=4, checks=frozenset({"graphs"}), output_path=str(out)))
+    assert len(computed) == 24
+    assert rep.checks == ("graphs",)
+    assert out.read_text() == scan(ScanOptions(n=4, checks=frozenset({"graphs"}))).jsonl()
+
+    # The same checks and cap again: every record is reused.
+    computed.clear()
+    scan(ScanOptions(n=4, checks=frozenset({"graphs"}), output_path=str(out)))
+    assert computed == []
+    scan(ScanOptions(n=4, checks=frozenset({"graphs"}), word_cap=100, output_path=str(out)))
+    assert len(computed) == 24
