@@ -192,7 +192,7 @@ def lower_pattern_from_words(word_set: WordSet) -> bool:
         return True
     if w.length() > max(w.n, 5):
         return False
-    return any(word_matches_lower_template(u, w.n) for u in word_set.rows.tolist())
+    return any(word_matches_lower_template(u, w.n) for u in word_set.words)
 
 
 def is_circuit_free(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> bool:

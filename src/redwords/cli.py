@@ -139,10 +139,7 @@ def run(argv: Sequence[str]) -> int:
         _fix_mmap_threshold()
     try:
         return _dispatch(args)
-    except _UsageError as exc:
-        print(f"redwords: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"redwords: {exc}", file=sys.stderr)
         return 1
     except WordCapExceeded as exc:
@@ -268,7 +265,7 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from .graphs import analyse, build_table, verify_jump_property
+    from .graphs import analyse, build_table
 
     w = _perm(args)
     an = analyse(w, cap=args.cap)
@@ -279,7 +276,7 @@ def _cmd_table(args) -> int:
             "window": list(w.window),
             "rows": table.rows,
             "cols": table.cols,
-            "jump_property": verify_jump_property(table),
+            "jump_property": an.gamma_connected,
         }, "cells", lambda: _write_json_list(table.iter_rows()))
         return 0
     grid = table.to_rows()

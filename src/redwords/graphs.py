@@ -22,10 +22,12 @@ import numpy as np
 from .classes import (
     ClassPartition,
     IndexPairs,
+    braid_class_shape,
     components,
     move_edges,
     odd_components,
     partition_with_edges,
+    path_product_edge_count,
 )
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation
@@ -141,9 +143,6 @@ class IntersectionTable:
     cols: int
     cells: dict[tuple[int, int], Word]
 
-    def cell(self, r: int, c: int) -> Word | None:
-        return self.cells.get((r, c))
-
     def nonempty_count(self) -> int:
         return len(self.cells)
 
@@ -228,28 +227,70 @@ class Analysis:
 
     @cached_property
     def pairs(self) -> IndexPairs:
-        c = len(self.partition(COMMUTATION))
-        cells = _distinct(self.partition(BRAID).class_of * c + self.partition(COMMUTATION).class_of)
-        return IndexPairs(cells // c, cells % c)
+        bp, cp = self.partition(BRAID), self.partition(COMMUTATION)
+        return _distinct_pairs(bp.class_of, cp.class_of)
+
+    def class_edges(self, kind: str) -> IndexPairs:
+        """Distinct (k, m), k <= m, for classes of one kind joined by a move of the other.
+
+        A move inside one class is kept as the loop (k, k): a wrong partition.
+        """
+        class_of = self.partition(kind).class_of
+        moves = self.edges(BRAID if kind == COMMUTATION else COMMUTATION)
+        lo, hi = class_of[moves.u], class_of[moves.v]
+        flip = hi < lo
+        lo[flip], hi[flip] = hi[flip], lo[flip]
+        return _distinct_pairs(lo, hi)
 
     def class_graph(self, kind: str) -> LabeledGraph:
         """G_c for kind=COMMUTATION, G_b for kind=BRAID, from the index arrays.
 
         The same graph as ``contract(build_word_graph(word_set), kind)``,
-        without building G(w): the classes of one kind, joined where a move
-        of the other kind joins two of their words.
+        without building G(w): ``class_edges`` without its loops.
         """
-        part = self.partition(kind)
         other = BRAID if kind == COMMUTATION else COMMUTATION
-        moves = self.edges(other)
-        a, b, n = part.class_of[moves.u], part.class_of[moves.v], len(part)
-        cells = _distinct(np.minimum(a, b) * n + np.maximum(a, b))
-        cells = cells[cells // n != cells % n]  # moves inside one class
         prefix = "C" if kind == COMMUTATION else "B"
         return LabeledGraph(
-            labels=tuple(f"{prefix}{k + 1}" for k in range(n)),
-            edges=tuple(Edge(u, v, other) for u, v in IndexPairs(cells // n, cells % n)),
+            labels=tuple(f"{prefix}{k + 1}" for k in range(len(self.partition(kind)))),
+            edges=tuple(Edge(u, v, other) for u, v in self.class_edges(kind) if u != v),
         )
+
+    def class_graph_bipartite(self, kind: str) -> bool:
+        """G_c (kind=COMMUTATION) or G_b (kind=BRAID) has no odd cycle and no loop."""
+        return not len(odd_components(len(self.partition(kind)), self.class_edges(kind)))
+
+    @property
+    def braid_crossings(self) -> int:
+        """Braid moves between two braid classes: none, as the classes are their components."""
+        class_of, moves = self.partition(BRAID).class_of, self.edges(BRAID)
+        return int(np.count_nonzero(class_of[moves.u] != class_of[moves.v]))
+
+    @property
+    def braid_shapes_conform(self) -> bool:
+        """Every braid class has 2^x 3^y words and the path product's braid moves.
+
+        The shape depends on the class size alone, so it is computed once per
+        distinct size; range(size) stands in for a class of that size.
+        """
+        part, moves = self.partition(BRAID), self.edges(BRAID)
+        sizes, size_of = np.unique(part.sizes, return_inverse=True)
+        shape_edges = []
+        for size in sizes.tolist():
+            try:
+                shape = braid_class_shape(range(size), self.word_set.target.length())
+            except InvariantViolation:
+                shape_edges.append(-1)  # no edge count matches
+                continue
+            shape_edges.append(path_product_edge_count(shape.x, shape.y))
+        moves_in = np.bincount(part.class_of[moves.u], minlength=len(part))
+        return bool((np.array(shape_edges)[size_of] == moves_in).all())
+
+    @property
+    def odd_braid_classes(self) -> list[int]:
+        """Ids of the braid classes with an odd cycle: each is an odd component
+        of the braid edges."""
+        class_of = self.partition(BRAID).class_of
+        return class_of[odd_components(len(class_of), self.edges(BRAID))].tolist()
 
     @cached_property
     def gamma_connected(self) -> bool:
@@ -265,16 +306,19 @@ class Analysis:
         return self.gamma_connected and len(self.pairs) == b + c - 1
 
 
-def _distinct(values):
-    """The distinct values of an integer array, sorted.
+def _distinct_pairs(a, b) -> IndexPairs:
+    """The distinct pairs (a[j], b[j]) of two id arrays, in increasing order.
 
-    One sort and a mask: np.unique takes a hash-table route that is about a
-    hundred times slower on these arrays (numpy 2.4).
+    Each pair is coded as one integer; one sort and a mask keep the first of
+    each run.  np.unique takes a hash-table route that is about a hundred
+    times slower on these arrays (numpy 2.4).
     """
-    values = np.sort(values)
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return values[first]
+    m = int(b.max()) + 1 if len(b) else 1
+    keys = a * m + b
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return IndexPairs(*np.divmod(keys[first], m))
 
 
 def analyse(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> Analysis:

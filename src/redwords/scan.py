@@ -97,12 +97,7 @@ class ScanRecord:
 
     def to_json_obj(self) -> dict:
         obj = {f.name: getattr(self, f.name) for f in fields(self)}
-        obj.update(
-            schema=SCHEMA_VERSION,
-            type="record",
-            window=list(self.window),
-            violations=list(self.violations),
-        )
+        obj.update(schema=SCHEMA_VERSION, type="record")
         return obj
 
     @classmethod
@@ -130,26 +125,13 @@ class ScanReport:
     records: tuple[ScanRecord, ...] = field(repr=False)
 
     def to_json_obj(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "report",
-            "n": self.n,
-            "total": self.total,
-            "checks": list(self.checks),
-            "word_cap": self.word_cap,
-            "upper_achiever_count": self.upper_achiever_count,
-            "lower_achiever_count": self.lower_achiever_count,
-            "skipped_count": self.skipped_count,
-            "violation_count": self.violation_count,
-            "braid_nonconforming_count": len(self.braid_nonconforming),
-            "braid_nonconforming": [list(win) for win in self.braid_nonconforming],
-            "conjecture_counterexamples": [
-                list(win) for win in self.conjecture_counterexamples
-            ],
-            "closed_form_upper": self.closed_form_upper,
-            "closed_form_lower": self.closed_form_lower,
-            "closed_form_match": self.closed_form_match,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
+        obj.update(
+            schema=SCHEMA_VERSION,
+            type="report",
+            braid_nonconforming_count=len(self.braid_nonconforming),
+        )
+        return obj
 
     def jsonl(self) -> str:
         lines = [_canonical(rec.to_json_obj()) for rec in self.records]
@@ -191,9 +173,6 @@ def verify_permutation(
         return ScanRecord(**common)
 
     # The graph modules load numpy, which an enumeration-free scan never needs.
-    import numpy as np
-
-    from .classes import IndexPairs, braid_class_shape, odd_components, path_product_edge_count
     from .graphs import analyse
 
     try:
@@ -206,54 +185,33 @@ def verify_permutation(
         )
 
     ws = an.word_set
-    bp, b_edges = an.partition(BRAID), an.edges(BRAID)
-    cp, c_edges = an.partition(COMMUTATION), an.edges(COMMUTATION)
-    r, b, c = len(ws), len(bp), len(cp)
-    bc = bp.class_of
-    cc = cp.class_of
+    r, b, c = len(ws), len(an.partition(BRAID)), len(an.partition(COMMUTATION))
 
     # One word per (braid class, commutation class) pair is the orthogonality
     # theorem; the pair set doubles as the edge set of Gamma(w) and as the
     # filled cells of the intersection table.
-    pairs = an.pairs
-    if len(pairs) != r:
-        violations.append(f"some braid and commutation class share {r - len(pairs) + 1} words")
+    pair_count = len(an.pairs)
+    if pair_count != r:
+        violations.append(f"some braid and commutation class share {r - pair_count + 1} words")
     gamma_connected = an.gamma_connected
     circuit_free = an.circuit_free
 
     braid_shape_conforming = None
     if "classes" in checks:
-        ell = w.length()
-        class_u, class_v = bc[b_edges.u], bc[b_edges.v]
-        crossed = int(np.count_nonzero(class_u != class_v))
-        violations += ["a braid move crossed braid classes"] * crossed
+        violations += ["a braid move crossed braid classes"] * an.braid_crossings
         # Shape conformance is a finding, not an invariant: cascading braid
         # moves make some classes longer presentation paths than the
-        # 2^x 3^y model from n = 5 on.  The shape depends on the class size
-        # alone, so it is computed once per distinct size; range(size)
-        # stands in for a class of that size.
-        sizes, size_of = np.unique(bp.sizes, return_inverse=True)
-        shape_edges = []
-        for size in sizes.tolist():
-            try:
-                shape = braid_class_shape(range(size), ell)
-            except InvariantViolation:
-                shape_edges.append(-1)  # no edge count matches
-                continue
-            shape_edges.append(path_product_edge_count(shape.x, shape.y))
-        class_edge_count = np.bincount(class_u, minlength=b)
-        braid_shape_conforming = bool((np.array(shape_edges)[size_of] == class_edge_count).all())
-        # Braid classes are the components of the braid edges, so each class
-        # that is not bipartite is one odd component.
-        for root in odd_components(r, b_edges).tolist():
-            violations.append(f"braid class {bc[root]} is not bipartite")
+        # 2^x 3^y model from n = 5 on.
+        braid_shape_conforming = an.braid_shapes_conform
+        for k in an.odd_braid_classes:
+            violations.append(f"braid class {k} is not bipartite")
 
     if "graphs" in checks:
         if not gamma_connected:
             violations.append("Gamma(w) (equivalently G(w)) is disconnected")
-        if len(odd_components(c, IndexPairs(cc[b_edges.u], cc[b_edges.v]))):
+        if not an.class_graph_bipartite(COMMUTATION):
             violations.append("G_c(w) is not bipartite")
-        if len(odd_components(b, IndexPairs(bc[c_edges.u], bc[c_edges.v]))):
+        if not an.class_graph_bipartite(BRAID):
             violations.append("G_b(w) is not bipartite")
         if not gamma_connected:
             violations.append("the intersection table fails the jump property")
@@ -371,13 +329,15 @@ def scan(options: ScanOptions) -> ScanReport:
         for rec in records
         if rec.conjecture_status not in (None, AGREE, SKIPPED)
     )
+    upper_count = sum(1 for rec in records if rec.upper_predicate)
+    lower_count = sum(1 for rec in records if rec.lower_predicate)
     report = ScanReport(
         n=n,
         total=len(records),
         checks=tuple(sorted(options.checks)),
         word_cap=options.word_cap,
-        upper_achiever_count=sum(1 for rec in records if rec.upper_predicate),
-        lower_achiever_count=sum(1 for rec in records if rec.lower_predicate),
+        upper_achiever_count=upper_count,
+        lower_achiever_count=lower_count,
         skipped_count=sum(1 for rec in records if rec.skipped),
         violation_count=sum(len(rec.violations) for rec in records),
         braid_nonconforming=tuple(
@@ -386,10 +346,7 @@ def scan(options: ScanOptions) -> ScanReport:
         conjecture_counterexamples=counterexamples,
         closed_form_upper=count_upper(n),
         closed_form_lower=count_lower(n),
-        closed_form_match=(
-            sum(1 for rec in records if rec.upper_predicate) == count_upper(n)
-            and sum(1 for rec in records if rec.lower_predicate) == count_lower(n)
-        ),
+        closed_form_match=upper_count == count_upper(n) and lower_count == count_lower(n),
         records=records,
     )
 

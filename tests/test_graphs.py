@@ -1,6 +1,6 @@
 import pytest
 
-from redwords.classes import partition
+from redwords.classes import ClassPartition, partition, verify_braid_class_graph
 from redwords.coxeter_moves import BRAID, COMMUTATION
 from redwords.graphs import (
     Edge,
@@ -234,3 +234,42 @@ def test_class_graphs_from_the_analysis_match_contraction():
             g = build_word_graph(an.word_set)
             for kind in (BRAID, COMMUTATION):
                 assert an.class_graph(kind) == contract(g, kind)
+
+
+def test_a_commutation_move_inside_a_braid_class_fails_the_gb_check(monkeypatch):
+    # [2143] has the words 13 and 31, one commutation move apart, each its own
+    # braid class.  Put both in one braid class: the move becomes a loop of G_b.
+    import redwords.graphs as graphs
+    from redwords.scan import verify_permutation
+
+    real = graphs.partition_with_edges
+
+    def one_braid_class(word_set, kind):
+        part, edges = real(word_set, kind)
+        if kind == BRAID:
+            part = ClassPartition(BRAID, word_set, part.class_of * 0)
+        return part, edges
+
+    monkeypatch.setattr(graphs, "partition_with_edges", one_braid_class)
+    w = parse_window("[2143]")
+    an = analyse(w)
+    assert list(an.class_edges(BRAID)) == [(0, 0)]
+    assert an.class_graph(BRAID) == LabeledGraph(labels=("B1",), edges=())
+    assert not an.class_graph_bipartite(BRAID)
+    assert an.class_graph_bipartite(COMMUTATION)
+    violations = verify_permutation(w, checks=frozenset({"graphs"})).violations
+    assert "G_b(w) is not bipartite" in violations
+    assert "G_c(w) is not bipartite" not in violations
+
+
+def test_braid_shape_answer_matches_the_class_by_class_check_on_s5():
+    answers = []
+    for w in all_permutations(5):
+        an = analyse(w)
+        bp = an.partition(BRAID)
+        expected = all(
+            verify_braid_class_graph(bp.class_words(k), w.length()) for k in range(len(bp))
+        )
+        assert an.braid_shapes_conform == expected, w.window
+        answers.append(expected)
+    assert answers.count(False) == 11  # criterion 3's witnesses in S_5

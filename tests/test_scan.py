@@ -146,17 +146,32 @@ def test_scan_skips_do_not_break_counts():
     assert rep.closed_form_match
 
 
-def test_scan_output_and_resume(tmp_path):
+def test_scan_output_and_resume(tmp_path, monkeypatch):
+    import importlib
+
+    scan_module = importlib.import_module("redwords.scan")
+    computed = []
+    real = scan_module._verify_window
+
+    def counting(args):
+        computed.append(args[0])
+        return real(args)
+
     out = tmp_path / "s4.jsonl"
     rep = scan(ScanOptions(n=4, output_path=str(out)))
     full = out.read_text()
     assert full == rep.jsonl()
 
-    # truncating the file simulates an interrupted run; resuming must
-    # reproduce the identical bytes without recomputing the kept records
+    # A file cut short has lost its report line, which alone says under
+    # which checks and cap its records were made, so nothing in it is reused
+    # and all 24 records are recomputed, to the identical bytes.  An
+    # interrupted run resumes only once records stream after such a header
+    # (ROADMAP item 4).
     lines = full.splitlines(keepends=True)
     out.write_text("".join(lines[:10]))
+    monkeypatch.setattr(scan_module, "_verify_window", counting)
     rep2 = scan(ScanOptions(n=4, output_path=str(out)))
+    assert len(computed) == 24
     assert out.read_text() == full
     assert rep2.jsonl() == rep.jsonl()
 
