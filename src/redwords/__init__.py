@@ -76,6 +76,8 @@ from .weak_order import (
     conjecture_predicate,
     interval,
     interval_by_closure,
+    interval_widths,
+    predicts_circuit_free,
     support,
 )
 

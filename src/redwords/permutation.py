@@ -56,9 +56,7 @@ class Permutation:
         >>> from_window([3, 2, 1]).length()
         3
         """
-        w = self.window
-        n = len(w)
-        return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+        return inversion_count(self.window)
 
     def inversion_value_pairs(self) -> list[tuple[int, int]]:
         """The inversions of w as value pairs (w(i), w(j)) with i < j, w(i) > w(j)."""
@@ -143,6 +141,15 @@ class Permutation:
 
     def __str__(self) -> str:
         return window_text(self)
+
+
+def inversion_count(window: Sequence[int]) -> int:
+    """The length of the permutation with this window, without validating it.
+
+    >>> inversion_count((3, 1, 2))
+    2
+    """
+    return sum(a > b for i, a in enumerate(window) for b in window[i + 1:])
 
 
 def identity(n: int) -> Permutation:

@@ -18,6 +18,13 @@ cascade along staircase factors such as 1213243, so from n = 5 on some
 classes are longer presentation paths than that model allows.  The scan
 reports every nonconforming class; connectivity and bipartiteness of the
 classes themselves are still enforced.
+
+The weak-order columns never enumerate R(w).  ``support_size`` is read off
+the window.  For n <= WIDTH_PASS_MAX_N every ``width`` comes from one
+``interval_widths`` pass up the weak order, made once per scan, in a pool
+worker when there is a pool; that worker peaks at 51 MB for n = 8 and
+1.77 GB for n = 9.  For n = 10 each width comes from the permutation's own
+closure interval.
 """
 
 from __future__ import annotations
@@ -37,9 +44,17 @@ from .characterizations import (
 )
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation, WordCapExceeded
-from .permutation import Permutation
+from .permutation import Permutation, inversion_count
 from .reduced_words import DEFAULT_WORD_CAP
-from .weak_order import AGREE, SKIPPED, classify_conjecture, interval_by_closure
+from .weak_order import (
+    AGREE,
+    SKIPPED,
+    classify_conjecture,
+    interval_by_closure,
+    interval_widths,
+    predicts_circuit_free,
+    support,
+)
 
 SCHEMA_VERSION = 1
 
@@ -47,9 +62,19 @@ SCHEMA_VERSION = 1
 # every braid class, cell uniqueness), "graphs" (connectivity, bipartiteness,
 # jump property), "bounds" (the two bounds plus all achiever equivalences),
 # "conjecture" (circuit-freeness against the weak-order conditions).
-# "weak_order" only computes width and support, via the closure interval.
+# "weak_order" only computes width and support, neither from R(w).
 CHECK_GROUPS = ("classes", "graphs", "bounds", "weak_order", "conjecture")
 _ENUMERATING = frozenset(("classes", "graphs", "bounds", "conjecture"))
+_NEED_WIDTH = frozenset(("weak_order", "conjecture"))
+
+# The largest n whose scan takes every interval width from one
+# weak_order.interval_widths pass instead of one closure per permutation.
+# The pass holds the bitsets of two adjacent ranks, one bit per permutation
+# of S_n.  The pool worker that runs it peaked at 51 MB for n = 8 (1.7 s)
+# and 1.77 GB for n = 9 (85 s) on 2 vCPUs; the bitsets of the two largest
+# ranks come to 0.03 and 1.70 GB, and for n = 10 they would come to 146 GB,
+# so there the scan keeps the closure.
+WIDTH_PASS_MAX_N = 9
 
 
 @dataclass(frozen=True)
@@ -147,8 +172,13 @@ def verify_permutation(
     w: Permutation,
     checks: frozenset[str] = frozenset(CHECK_GROUPS),
     word_cap: int = DEFAULT_WORD_CAP,
+    width: int | None = None,
 ) -> ScanRecord:
-    """Run every selected check on one permutation; violations are recorded."""
+    """Run every selected check on one permutation; violations are recorded.
+
+    ``width`` is the width of [e, w] when the caller already has it;
+    otherwise it comes from the closure interval, if a check needs it.
+    """
     violations: list[str] = []
     fully_commutative = w.is_321_avoiding()
     single_braid = w.inversions_pairwise_share_letter()
@@ -164,10 +194,11 @@ def verify_permutation(
         lower_predicate=lower_pred,
     )
 
-    iv = None
-    if "weak_order" in checks or "conjecture" in checks:
-        iv = interval_by_closure(w)
-        common.update(width=iv.width, support_size=iv.support_size)
+    if checks & _NEED_WIDTH:
+        if width is None:
+            width = interval_by_closure(w).width
+        support_size = len(support(w))
+        common.update(width=width, support_size=support_size)
 
     if not (checks & _ENUMERATING):
         return ScanRecord(**common)
@@ -245,7 +276,9 @@ def verify_permutation(
 
     conjecture_status = None
     if "conjecture" in checks:
-        conjecture_status = classify_conjecture(iv.predicts_circuit_free, circuit_free)
+        conjecture_status = classify_conjecture(
+            predicts_circuit_free(w, width, support_size), circuit_free
+        )
 
     return ScanRecord(
         **common,
@@ -262,9 +295,9 @@ def verify_permutation(
 
 
 def _verify_window(args: tuple) -> ScanRecord:
-    window, checks, word_cap = args
+    window, checks, word_cap, width = args
     return verify_permutation(
-        Permutation(window), checks=frozenset(checks), word_cap=word_cap
+        Permutation(window), checks=frozenset(checks), word_cap=word_cap, width=width
     )
 
 
@@ -282,7 +315,7 @@ def _costliest_first(args: list[tuple], workers: int) -> list[list[tuple]]:
     costly ones; the sizes then double, one batch per worker at each size, up
     to 1/(8 * workers) of the permutations.
     """
-    order = sorted(args, key=lambda a: -Permutation(a[0]).length())
+    order = sorted(args, key=lambda a: -inversion_count(a[0]))
     cap = max(1, len(order) // (workers * 8))
     batches, start, size = [], 0, 1
     while start < len(order):
@@ -305,19 +338,30 @@ def scan(options: ScanOptions) -> ScanReport:
     n = options.n
     windows = list(_lex_windows(range(1, n + 1)))
     existing = _load_existing(options)
-    todo = [win for win in windows if win not in existing]
+    todo = [k for k, win in enumerate(windows) if win not in existing]
+    width_pass = bool(options.checks & _NEED_WIDTH) and n <= WIDTH_PASS_MAX_N
+
+    def work(widths: list[int] | None) -> list[tuple]:
+        checks = tuple(sorted(options.checks))
+        return [
+            (windows[k], checks, options.word_cap, None if widths is None else widths[k])
+            for k in todo
+        ]
 
     computed: list[ScanRecord] = []
     if todo:
-        args = [(win, tuple(sorted(options.checks)), options.word_cap) for win in todo]
         if options.workers > 1 and len(todo) > 1:
             with ProcessPoolExecutor(max_workers=options.workers) as pool:
-                batches = _costliest_first(args, options.workers)
+                # The pass runs in a worker, so its bitsets never add to the
+                # peak of this process, which holds every record.
+                widths = pool.submit(interval_widths, n).result() if width_pass else None
+                batches = _costliest_first(work(widths), options.workers)
                 computed = [
                     rec for recs in pool.map(_verify_batch, batches) for rec in recs
                 ]
         else:
-            computed = [_verify_window(a) for a in args]
+            widths = interval_widths(n) if width_pass else None
+            computed = [_verify_window(a) for a in work(widths)]
 
     by_window = dict(existing)
     for rec in computed:

@@ -3,7 +3,8 @@
 An interval is computed two ways that must agree: by evaluating every prefix
 of every reduced word of w (each word is a maximal chain), or by the
 descent-stripping closure that never touches R(w).  The closure route is the
-one used where word sets are large or capped.
+one used where word sets are large or capped.  ``interval_widths`` gives the
+width alone for every w in S_n at once, in one pass up the weak order.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characterizations import is_circuit_free
-from .permutation import Permutation
+from .permutation import Permutation, inversion_count
 from .reduced_words import DEFAULT_WORD_CAP, enumerate_words
 
 
@@ -35,29 +36,34 @@ class WeakInterval:
 
     @property
     def predicts_circuit_free(self) -> bool:
-        """The conjectured conditions for Gamma(w) to be a tree: one commutation
-        class, one braid class, width 2, or width = support = 3."""
-        w, wid = self.w, self.width
-        return (
-            w.is_321_avoiding()
-            or w.inversions_pairwise_share_letter()
-            or wid == 2
-            or (wid == 3 and self.support_size == 3)
-        )
+        """The conjectured conditions for Gamma(w) to be a tree."""
+        return predicts_circuit_free(self.w, self.width, self.support_size)
+
+
+def predicts_circuit_free(w: Permutation, width: int, support_size: int) -> bool:
+    """The conjectured conditions for Gamma(w) to be a tree: one commutation
+    class, one braid class, width 2, or width = support = 3."""
+    return (
+        w.is_321_avoiding()
+        or w.inversions_pairwise_share_letter()
+        or width == 2
+        or (width == 3 and support_size == 3)
+    )
 
 
 def support(w: Permutation) -> frozenset[int]:
-    """Letters appearing in any (equivalently, every) reduced word of w."""
+    """Letters appearing in any (equivalently, every) reduced word of w.
+
+    s_i occurs exactly when w does not map {1..i} onto itself, that is when
+    max(w(1..i)) > i.
+    """
     letters: set[int] = set()
-    win = list(w.window)
-    while True:
-        for i in range(len(win) - 1):
-            if win[i] > win[i + 1]:
-                letters.add(i + 1)
-                win[i], win[i + 1] = win[i + 1], win[i]
-                break
-        else:
-            return frozenset(letters)
+    top = 0
+    for i, v in enumerate(w.window[:-1], 1):
+        top = max(top, v)
+        if top > i:
+            letters.add(i)
+    return frozenset(letters)
 
 
 def interval(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> WeakInterval:
@@ -103,6 +109,42 @@ def interval_by_closure(w: Permutation) -> WeakInterval:
         ranks=tuple(tuple(sorted(r)) for r in levels),
         support_size=len(support(w)),
     )
+
+
+def interval_widths(n: int) -> list[int]:
+    """The width of [e, w] for every w in S_n, in lexicographic window order.
+
+    One pass up the weak order, with no interval held element by element.
+    Each permutation gets one bit, numbered in order of length, so each rank
+    owns one range of bits.  [e, w] is {w} together with [e, w s_i] for every
+    right descent i, so its bitset is w's own bit OR the bitsets of those
+    w s_i, all one rank below; only that rank's bitsets are kept.  The size
+    of each rank of [e, w] is the popcount of its bitset over that range.
+    """
+    from itertools import permutations
+
+    windows = list(permutations(range(1, n + 1)))
+    by_length: list[list[int]] = [[] for _ in range(n * (n - 1) // 2 + 1)]
+    for k, win in enumerate(windows):
+        by_length[inversion_count(win)].append(k)
+    widths = [0] * len(windows)
+    ranges: list[tuple[int, int]] = []  # (first bit, mask) of each rank so far
+    below: dict[tuple[int, ...], int] = {}
+    first = 0
+    for rank in by_length:
+        ranges.append((first, (1 << len(rank)) - 1))
+        here: dict[tuple[int, ...], int] = {}
+        for bit, k in enumerate(rank, first):
+            win = windows[k]
+            bits = 1 << bit
+            for i in range(n - 1):
+                if win[i] > win[i + 1]:
+                    bits |= below[win[:i] + (win[i + 1], win[i]) + win[i + 2:]]
+            here[win] = bits
+            widths[k] = max((bits >> lo & mask).bit_count() for lo, mask in ranges)
+        below = here
+        first += len(rank)
+    return widths
 
 
 def conjecture_predicate(w: Permutation) -> bool:

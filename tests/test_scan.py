@@ -130,6 +130,29 @@ def test_pool_batches_cover_every_permutation_longest_first(n, workers):
     assert all(1 <= len(batch) <= max(1, cap) for batch in batches)
 
 
+def test_weak_order_scan_is_the_same_by_width_pass_and_by_closure(monkeypatch):
+    import importlib
+
+    scan_module = importlib.import_module("redwords.scan")
+    closures = []
+    real = scan_module.interval_by_closure
+
+    def counting(w):
+        closures.append(w)
+        return real(w)
+
+    monkeypatch.setattr(scan_module, "interval_by_closure", counting)
+    options = ScanOptions(n=6, checks=frozenset({"weak_order"}))
+    by_pass = scan(options).jsonl()
+    assert closures == []
+    monkeypatch.setattr(scan_module, "WIDTH_PASS_MAX_N", 5)
+    by_closure = scan(options).jsonl()
+    assert len(closures) == 720
+    assert by_closure == by_pass
+    monkeypatch.undo()
+    assert scan(ScanOptions(n=6, checks=options.checks, workers=2)).jsonl() == by_pass
+
+
 def test_scan_enumeration_free_mode_counts_exactly():
     rep = scan(ScanOptions(n=5, checks=frozenset()))
     assert rep.upper_achiever_count == 45

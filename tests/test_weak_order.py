@@ -9,6 +9,7 @@ from redwords.weak_order import (
     conjecture_predicate,
     interval,
     interval_by_closure,
+    interval_widths,
     support,
 )
 
@@ -54,12 +55,32 @@ def test_prefix_interval_equals_closure_interval(n):
         assert interval(w) == interval_by_closure(w)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_support_is_word_independent(n):
     for w in all_permutations(n):
         letter_sets = {frozenset(u) for u in enumerate_words(w).words}
         assert len(letter_sets) == 1
         assert support(w) == letter_sets.pop()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_interval_widths_equal_closure_widths(n):
+    widths = interval_widths(n)
+    assert widths == [interval_by_closure(w).width for w in all_permutations(n)]
+
+
+def _largest_mahonian_number(n):
+    """The largest coefficient of prod_{k=1..n} (1 + q + ... + q^(k-1))."""
+    coeffs = [1]
+    for k in range(1, n + 1):
+        coeffs = [sum(coeffs[max(0, d - k + 1):d + 1]) for d in range(len(coeffs) + k - 1)]
+    return max(coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_width_of_w0_is_the_largest_mahonian_number(n):
+    # [e, w0] is all of S_n, ranked by length; w0 is last in window order
+    assert interval_widths(n)[-1] == _largest_mahonian_number(n)
 
 
 def test_interval_cap():
