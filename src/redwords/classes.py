@@ -182,12 +182,6 @@ class ClassPartition:
             tuple(order[end - size : end]) for size, end in zip(self.sizes.tolist(), ends)
         )
 
-    @cached_property
-    def representatives(self) -> tuple[Word, ...]:
-        """Class id -> lexicographically minimal word."""
-        words = self.word_set.words
-        return tuple(words[cls[0]] for cls in self.classes)
-
     def class_words(self, k: int) -> list[Word]:
         words = self.word_set.words
         return [words[i] for i in self.classes[k]]

@@ -1,19 +1,19 @@
 """Command-line front end: one subcommand per capability, scriptable output.
 
-Exit codes: 0 success, 1 usage error, 2 a proved statement failed (an
-implementation bug, never bad input), 3 the word set exceeded the cap while
---strict was set.  Without --strict a cap skip is reported on stderr and the
-run still exits 0.
+Exit codes: 0 success, 1 usage error (a --cap below 1 among them), 2 a
+proved statement failed (an implementation bug, never bad input), 3 the word
+set exceeded the cap while --strict was set.  Without --strict a cap skip is
+reported on stderr and the run still exits 0.
 
 The subcommands that partition R(w) import the graph modules, and with them
-numpy, only when they run.
+numpy, only when they run.  ``interval`` reads the descent-stripping closure,
+so it never enumerates R(w) and takes no cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from itertools import islice
 from typing import Iterable, Sequence
@@ -24,8 +24,8 @@ from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation, WordCapExceeded
 from .permutation import Permutation, parse_window, window_text
 from .reduced_words import DEFAULT_WORD_CAP, enumerate_words, word_text
-from .scan import CHECK_GROUPS, ScanOptions, scan
-from .weak_order import AGREE, interval
+from .scan import CHECK_GROUPS, ScanOptions, _canonical, scan
+from .weak_order import AGREE, interval_by_closure
 
 SCHEMA = 1
 
@@ -48,14 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_perm_command(name, help_text, formats=("text", "json")):
+    def add_perm_command(name, help_text, formats=("text", "json"), capped=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("window", help='permutation window, e.g. "[25314]" or "2 5 3 1 4"')
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP,
-                       help="skip when |R(w)| exceeds this")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 instead of reporting a cap skip")
+        if capped:
+            p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP,
+                           help="skip when |R(w)| exceeds this")
+            p.add_argument("--strict", action="store_true",
+                           help="exit 3 instead of reporting a cap skip")
         return p
 
     add_perm_command("words", "list R(w) in lexicographic order")
@@ -67,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
                          formats=("dot", "json"))
     p.add_argument("--which", choices=("word", "gc", "gb", "gamma"), default="word")
     add_perm_command("check", "bound status and every predicate for one permutation")
-    add_perm_command("interval", "weak order interval: rank sizes, width, support")
+    add_perm_command("interval", "weak order interval: rank sizes, width, support",
+                     capped=False)
 
     p = sub.add_parser("counts", help="closed-form Catalan / upper / lower counts")
     p.add_argument("--n", type=int, required=True)
@@ -130,6 +132,8 @@ def run(argv: Sequence[str]) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(list(argv))
+        if getattr(args, "cap", 1) < 1:
+            parser.error("--cap must be at least 1")
     except _UsageError as exc:
         print(f"redwords: {exc}", file=sys.stderr)
         return 1
@@ -172,7 +176,7 @@ def _perm(args: argparse.Namespace) -> Permutation:
 
 
 def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(_canonical(obj))
 
 
 def _emit_json_around(obj: dict, key: str, write_value) -> None:
@@ -180,7 +184,7 @@ def _emit_json_around(obj: dict, key: str, write_value) -> None:
     is written by ``write_value()`` straight to stdout, so that its JSON text
     is never held whole.
     """
-    text = json.dumps({**obj, key: None}, sort_keys=True, separators=(",", ":"))
+    text = _canonical({**obj, key: None})
     head, tail = text.split(f'"{key}":null')
     sys.stdout.write(f'{head}"{key}":')
     write_value()
@@ -193,7 +197,7 @@ def _write_json_list(items: Iterable) -> None:
     items = iter(items)
     sep = ""
     while chunk := list(islice(items, 1024)):
-        sys.stdout.write(sep + json.dumps(chunk, sort_keys=True, separators=(",", ":"))[1:-1])
+        sys.stdout.write(sep + _canonical(chunk)[1:-1])
         sep = ","
     sys.stdout.write("]")
 
@@ -360,7 +364,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_interval(args) -> int:
     w = _perm(args)
-    iv = interval(w, cap=args.cap)
+    iv = interval_by_closure(w)
     if args.format == "json":
         _emit_json({
             "schema": SCHEMA,
@@ -435,11 +439,7 @@ def _cmd_scan(args) -> int:
             print(f"conjecture counterexamples: {len(report.conjecture_counterexamples)}")
     elif to_stdout:
         sys.stdout.write(report.jsonl())
-    if args.strict and report.skipped_count:
-        print(f"redwords: {report.skipped_count} permutations skipped at cap "
-              f"{args.cap}", file=sys.stderr)
-        return 3
-    return 0
+    return _strict_exit(args, report.skipped_count)
 
 
 def _cmd_conjecture(args) -> int:
@@ -470,6 +470,11 @@ def _cmd_conjecture(args) -> int:
                 print(f"  {win}")
         else:
             print("counterexamples: none")
+    return _strict_exit(args, skipped)
+
+
+def _strict_exit(args, skipped: int) -> int:
+    """The exit code of a scan: 3 if it skipped permutations under --strict."""
     if args.strict and skipped:
         print(f"redwords: {skipped} permutations skipped at cap {args.cap}",
               file=sys.stderr)

@@ -57,9 +57,6 @@ class LabeledGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def kind_count(self, kind: str) -> int:
-        return sum(1 for e in self.edges if e.kind == kind)
-
 
 def build_word_graph(word_set: WordSet) -> LabeledGraph:
     """G(w): one vertex per word, one labeled edge per supported move.
@@ -142,9 +139,6 @@ class IntersectionTable:
     rows: int
     cols: int
     cells: dict[tuple[int, int], Word]
-
-    def nonempty_count(self) -> int:
-        return len(self.cells)
 
     def iter_rows(self) -> Iterator[list[str | None]]:
         """Dense rows in order, word text or None for empty cells, one at a time."""

@@ -47,9 +47,6 @@ class Permutation:
         """The value w(i), 1-based."""
         return self.window[i - 1]
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.window, 1))
-
     def length(self) -> int:
         """Number of inversions, which equals the length of every reduced word.
 

@@ -55,13 +55,12 @@ class WordSet:
     """The complete R(target), sorted lexicographically and duplicate-free.
 
     ``rows`` is the (r, l) ``uint8`` letter matrix.  ``words`` is the same
-    list as a tuple of ``bytes``, decoded on first use; pass ``words``
-    instead of ``rows`` to build a set from words already in hand.
+    list as a tuple of ``bytes``, decoded on first use.
     """
 
-    def __init__(self, target: Permutation, words: Sequence[Word] | None = None, *, rows=None):
+    def __init__(self, target: Permutation, rows):
         self.target = target
-        self.rows = letter_rows(words) if rows is None else rows
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -78,10 +77,6 @@ class WordSet:
         if self.rows.shape[1] == 0:
             return (b"",) * len(self.rows)
         return tuple(row_keys(self.rows).tolist())
-
-    def index(self) -> dict[Word, int]:
-        """Word -> position, for callers that hold words as bytes."""
-        return {u: k for k, u in enumerate(self.words)}
 
 
 def letter_rows(words: Sequence[Sequence[int]]):

@@ -32,7 +32,9 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import permutations as _lex_windows
 
 from .characterizations import (
@@ -44,7 +46,7 @@ from .characterizations import (
 )
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation, WordCapExceeded
-from .permutation import Permutation, inversion_count
+from .permutation import MAX_N, Permutation, inversion_count
 from .reduced_words import DEFAULT_WORD_CAP
 from .weak_order import (
     AGREE,
@@ -89,6 +91,8 @@ class ScanOptions:
         object.__setattr__(self, "checks", frozenset(self.checks))
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.n > MAX_N:
+            raise ValueError(f"n must be at most {MAX_N}")
         if self.word_cap < 1:
             raise ValueError("word_cap must be at least 1")
         if self.workers < 1:
@@ -294,18 +298,17 @@ def verify_permutation(
     )
 
 
-def _verify_window(args: tuple) -> ScanRecord:
-    window, checks, word_cap, width = args
-    return verify_permutation(
-        Permutation(window), checks=frozenset(checks), word_cap=word_cap, width=width
-    )
+def _verify_batch(
+    checks: frozenset[str], word_cap: int, batch: list[tuple[tuple[int, ...], int | None]]
+) -> list[ScanRecord]:
+    """Records of (window, width) pairs, every one under the same checks and cap."""
+    return [
+        verify_permutation(Permutation(window), checks=checks, word_cap=word_cap, width=width)
+        for window, width in batch
+    ]
 
 
-def _verify_batch(batch: list[tuple]) -> list[ScanRecord]:
-    return [_verify_window(args) for args in batch]
-
-
-def _costliest_first(args: list[tuple], workers: int) -> list[list[tuple]]:
+def _costliest_first(items: list[tuple], workers: int) -> list[list[tuple]]:
     """Split the work into batches that hand the longest permutations out first.
 
     r(w) grows steeply with the length of w (w0 of S_6 alone is about a third
@@ -315,7 +318,7 @@ def _costliest_first(args: list[tuple], workers: int) -> list[list[tuple]]:
     costly ones; the sizes then double, one batch per worker at each size, up
     to 1/(8 * workers) of the permutations.
     """
-    order = sorted(args, key=lambda a: -inversion_count(a[0]))
+    order = sorted(items, key=lambda item: -inversion_count(item[0]))
     cap = max(1, len(order) // (workers * 8))
     batches, start, size = [], 0, 1
     while start < len(order):
@@ -341,27 +344,16 @@ def scan(options: ScanOptions) -> ScanReport:
     todo = [k for k, win in enumerate(windows) if win not in existing]
     width_pass = bool(options.checks & _NEED_WIDTH) and n <= WIDTH_PASS_MAX_N
 
-    def work(widths: list[int] | None) -> list[tuple]:
-        checks = tuple(sorted(options.checks))
-        return [
-            (windows[k], checks, options.word_cap, None if widths is None else widths[k])
-            for k in todo
-        ]
-
-    computed: list[ScanRecord] = []
-    if todo:
-        if options.workers > 1 and len(todo) > 1:
-            with ProcessPoolExecutor(max_workers=options.workers) as pool:
-                # The pass runs in a worker, so its bitsets never add to the
-                # peak of this process, which holds every record.
-                widths = pool.submit(interval_widths, n).result() if width_pass else None
-                batches = _costliest_first(work(widths), options.workers)
-                computed = [
-                    rec for recs in pool.map(_verify_batch, batches) for rec in recs
-                ]
-        else:
-            widths = interval_widths(n) if width_pass else None
-            computed = [_verify_window(a) for a in work(widths)]
+    pooled = options.workers > 1 and len(todo) > 1
+    with ProcessPoolExecutor(max_workers=options.workers) if pooled else nullcontext() as pool:
+        mapper = pool.map if pool else map
+        # With a pool the pass runs in a worker, so its bitsets never add to
+        # the peak of this process, which holds every record.
+        widths = next(mapper(interval_widths, [n])) if width_pass and todo else None
+        items = [(windows[k], None if widths is None else widths[k]) for k in todo]
+        verify = partial(_verify_batch, options.checks, options.word_cap)
+        batches = _costliest_first(items, options.workers)
+        computed = [rec for recs in mapper(verify, batches) for rec in recs]
 
     by_window = dict(existing)
     for rec in computed:

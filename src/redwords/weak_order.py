@@ -1,10 +1,11 @@
 """Right weak order intervals [e, w], their rank profile, and the conjecture.
 
-An interval is computed two ways that must agree: by evaluating every prefix
-of every reduced word of w (each word is a maximal chain), or by the
-descent-stripping closure that never touches R(w).  The closure route is the
-one used where word sets are large or capped.  ``interval_widths`` gives the
-width alone for every w in S_n at once, in one pass up the weak order.
+An interval is computed two ways that must agree: by the descent-stripping
+closure that never touches R(w), which every caller in the package uses, or
+by evaluating every prefix of every reduced word of w (each word is a
+maximal chain), which is kept as the independent reference the tests compare
+the closure against.  ``interval_widths`` gives the width alone for every w
+in S_n at once, in one pass up the weak order.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ class WeakInterval:
     @property
     def size(self) -> int:
         return sum(self.rank_sizes)
-
-    @property
-    def predicts_circuit_free(self) -> bool:
-        """The conjectured conditions for Gamma(w) to be a tree."""
-        return predicts_circuit_free(self.w, self.width, self.support_size)
 
 
 def predicts_circuit_free(w: Permutation, width: int, support_size: int) -> bool:
@@ -153,7 +149,8 @@ def conjecture_predicate(w: Permutation) -> bool:
     Entirely enumeration-free: the class-count conditions go through their
     window-level characterizations and the width through the closure interval.
     """
-    return interval_by_closure(w).predicts_circuit_free
+    iv = interval_by_closure(w)
+    return predicts_circuit_free(w, iv.width, iv.support_size)
 
 
 AGREE = "agree"

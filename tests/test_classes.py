@@ -14,7 +14,13 @@ from redwords.classes import (
 from redwords.coxeter_moves import BRAID, COMMUTATION, neighbors
 from redwords.errors import InvariantViolation
 from redwords.permutation import all_permutations, identity, parse_window
-from redwords.reduced_words import WordSet, enumerate_words, parse_word, word_text
+from redwords.reduced_words import (
+    WordSet,
+    enumerate_words,
+    letter_rows,
+    parse_word,
+    word_text,
+)
 
 
 def words_of(ws):
@@ -50,7 +56,7 @@ def test_partition_is_input_order_independent():
     ws = enumerate_words(w)
     shuffled = list(ws.words)
     random.Random(7).shuffle(shuffled)
-    ws2 = WordSet(target=w, words=tuple(sorted(shuffled)))
+    ws2 = WordSet(target=w, rows=letter_rows(sorted(shuffled)))
     for kind in (BRAID, COMMUTATION):
         assert partition(ws, kind) == partition(ws2, kind)
 
@@ -63,9 +69,8 @@ def test_partition_classes_cover_word_set():
                 part = partition(ws, kind)
                 seen = sorted(i for cls in part.classes for i in cls)
                 assert seen == list(range(len(ws)))
-                for cid, cls in enumerate(part.classes):
-                    assert part.representatives[cid] == ws.words[cls[0]]
-                reps = list(part.representatives)
+                reps = [ws.words[cls[0]] for cls in part.classes]
+                assert reps == [min(part.class_words(k)) for k in range(len(part))]
                 assert reps == sorted(reps)
 
 
@@ -196,7 +201,7 @@ def test_partition_edges_match_word_level_neighbors_on_s5(kind):
     # Independent oracle: the word-level move generator, one word at a time.
     for w in all_permutations(5):
         ws = enumerate_words(w)
-        index = ws.index()
+        index = {u: k for k, u in enumerate(ws.words)}
         _, edges = partition_with_edges(ws, kind)
         expected = set()
         for k, u in enumerate(ws.words):
@@ -210,7 +215,7 @@ def test_partition_edges_match_word_level_neighbors_on_s5(kind):
 def _assert_engine_matches_word_level_oracle(ws, kind):
     # Independent oracle: words one move apart by the word-level generator,
     # and each class as the breadth-first closure of its least word.
-    index = ws.index()
+    index = {u: k for k, u in enumerate(ws.words)}
     part, edges = partition_with_edges(ws, kind)
     expected = {
         (k, index[v])

@@ -169,6 +169,17 @@ def test_usage_errors(cli):
     assert code == 1
     code, _, err = cli("counts", "--n", "99")
     assert code == 1
+    for argv in (
+        ["words", "[21]"], ["classes", "[21]"], ["table", "[21]"], ["graph", "[21]"],
+        ["check", "[21]"], ["scan", "--n", "2"], ["conjecture", "--n", "2"],
+    ):
+        for cap in ("0", "-3"):
+            code, out, err = cli(*argv, "--cap", cap, "--strict")
+            assert (code, out) == (1, ""), argv
+            assert "--cap must be at least 1" in err
+    # interval never enumerates R(w), so it has no cap to set
+    code, _, err = cli("interval", "[21]", "--cap", "5")
+    assert code == 1
 
 
 def test_strict_cap_exit_code(cli):
@@ -280,6 +291,9 @@ def test_enumeration_free_paths_do_not_load_numpy():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert run(['counts', '--n', '5']) == 0\n"
         "assert 'numpy' not in sys.modules, 'counts'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['interval', '[54321]']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'interval'\n"
         "redwords.analyse\n"
         "assert 'numpy' in sys.modules, 'analyse'\n"
     )

@@ -4,9 +4,8 @@ import json
 import pytest
 
 from redwords.errors import InvariantViolation
-from redwords.permutation import longest_element, parse_window
+from redwords.permutation import MAX_N, longest_element, parse_window
 from redwords.scan import (
-    CHECK_GROUPS,
     ScanOptions,
     ScanRecord,
     scan,
@@ -17,6 +16,8 @@ from redwords.scan import (
 def test_options_validation():
     with pytest.raises(ValueError):
         ScanOptions(n=0)
+    with pytest.raises(ValueError):
+        ScanOptions(n=MAX_N + 1)
     with pytest.raises(ValueError):
         ScanOptions(n=3, word_cap=0)
     with pytest.raises(ValueError):
@@ -174,11 +175,11 @@ def test_scan_output_and_resume(tmp_path, monkeypatch):
 
     scan_module = importlib.import_module("redwords.scan")
     computed = []
-    real = scan_module._verify_window
+    real = scan_module.verify_permutation
 
-    def counting(args):
-        computed.append(args[0])
-        return real(args)
+    def counting(w, **kwargs):
+        computed.append(w.window)
+        return real(w, **kwargs)
 
     out = tmp_path / "s4.jsonl"
     rep = scan(ScanOptions(n=4, output_path=str(out)))
@@ -192,7 +193,7 @@ def test_scan_output_and_resume(tmp_path, monkeypatch):
     # (ROADMAP item 4).
     lines = full.splitlines(keepends=True)
     out.write_text("".join(lines[:10]))
-    monkeypatch.setattr(scan_module, "_verify_window", counting)
+    monkeypatch.setattr(scan_module, "verify_permutation", counting)
     rep2 = scan(ScanOptions(n=4, output_path=str(out)))
     assert len(computed) == 24
     assert out.read_text() == full
@@ -231,8 +232,8 @@ def test_scan_aborts_on_violation(monkeypatch):
     scan_module = importlib.import_module("redwords.scan")
     real = scan_module.verify_permutation
 
-    def broken(w, checks=frozenset(CHECK_GROUPS), word_cap=2_000_000):
-        rec = real(w, checks=checks, word_cap=word_cap)
+    def broken(w, **kwargs):
+        rec = real(w, **kwargs)
         if w.window == (2, 1, 3):
             rec = scan_module.ScanRecord(
                 **{**rec.__dict__, "violations": ("deliberately broken",)}
@@ -240,9 +241,6 @@ def test_scan_aborts_on_violation(monkeypatch):
         return rec
 
     monkeypatch.setattr(scan_module, "verify_permutation", broken)
-    monkeypatch.setattr(scan_module, "_verify_window", lambda args: broken(
-        scan_module.Permutation(args[0]), checks=frozenset(args[1]), word_cap=args[2]
-    ))
     with pytest.raises(InvariantViolation, match="deliberately broken"):
         scan_module.scan(ScanOptions(n=3))
 
@@ -262,6 +260,7 @@ def _sha256(text):
 
 def test_scan_jsonl_is_pinned_for_s4_and_s5(scan_s5):
     assert _sha256(scan(ScanOptions(n=4)).jsonl()) == PINNED_JSONL_SHA256[4]
+    assert _sha256(scan(ScanOptions(n=4, workers=2)).jsonl()) == PINNED_JSONL_SHA256[4]
     assert _sha256(scan_s5.jsonl()) == PINNED_JSONL_SHA256[5]
 
 
@@ -274,13 +273,13 @@ def test_scan_resume_requires_the_same_checks_and_cap(tmp_path, monkeypatch):
 
     scan_module = importlib.import_module("redwords.scan")
     computed = []
-    real = scan_module._verify_window
+    real = scan_module.verify_permutation
 
-    def counting(args):
-        computed.append(args[0])
-        return real(args)
+    def counting(w, **kwargs):
+        computed.append(w.window)
+        return real(w, **kwargs)
 
-    monkeypatch.setattr(scan_module, "_verify_window", counting)
+    monkeypatch.setattr(scan_module, "verify_permutation", counting)
     out = tmp_path / "s4.jsonl"
     scan(ScanOptions(n=4, checks=frozenset({"bounds"}), output_path=str(out)))
     assert len(computed) == 24
