@@ -143,7 +143,7 @@ def run(argv: Sequence[str]) -> int:
         _fix_mmap_threshold()
     try:
         return _dispatch(args)
-    except (_UsageError, ValueError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"redwords: {exc}", file=sys.stderr)
         return 1
     except WordCapExceeded as exc:

@@ -95,12 +95,10 @@ def neighbors(word: Sequence[int]) -> list[tuple[Move, Word]]:
     [('braid', 2)]
     """
     u = bytes(word)
-    out: list[tuple[Move, Word]] = []
-    for i in range(1, len(u)):
-        if abs(u[i - 1] - u[i]) > 1:
-            out.append((Move(COMMUTATION, i), u[: i - 1] + bytes((u[i], u[i - 1])) + u[i + 1 :]))
-    for i in range(2, len(u)):
-        a, b = u[i - 2], u[i - 1]
-        if u[i] == a and abs(a - b) == 1:
-            out.append((Move(BRAID, i), u[: i - 2] + bytes((b, a, b)) + u[i + 1 :]))
+    out = [
+        (Move(COMMUTATION, i), apply_commutation(u, i))
+        for i in range(1, len(u))
+        if supports_commutation(u, i)
+    ]
+    out += [(Move(BRAID, i), apply_braid(u, i)) for i in range(2, len(u)) if supports_braid(u, i)]
     return out

@@ -14,6 +14,7 @@ s_i swaps the entries in window positions i and i+1 for 1 <= i <= n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 # The workloads built on top of this module are factorial in n, so a large
@@ -55,11 +56,15 @@ class Permutation:
         """
         return inversion_count(self.window)
 
-    def inversion_value_pairs(self) -> list[tuple[int, int]]:
-        """The inversions of w as value pairs (w(i), w(j)) with i < j, w(i) > w(j)."""
+    @cached_property
+    def inversions(self) -> tuple[tuple[int, int], ...]:
+        """The inversions of w as value pairs (w(i), w(j)) with i < j, w(i) > w(j).
+
+        Computed once per instance; equality, hashing and pickling read only
+        the window.
+        """
         w = self.window
-        n = len(w)
-        return [(w[i], w[j]) for i in range(n) for j in range(i + 1, n) if w[i] > w[j]]
+        return tuple((a, b) for i, a in enumerate(w) for b in w[i + 1:] if a > b)
 
     def right_descents(self) -> set[int]:
         """{i : w(i) > w(i+1)}; empty exactly for the identity."""
@@ -96,45 +101,32 @@ class Permutation:
     def is_321_avoiding(self) -> bool:
         """True iff no i < j < k has w(i) > w(j) > w(k).
 
-        A 321 pattern exists iff some middle position j has a larger value
-        somewhere to its left and a smaller one somewhere to its right, so a
-        prefix-max / suffix-min sweep suffices.
+        A 321 pattern c, b, a is exactly a value b that is the smaller entry
+        of one inversion (c, b) and the larger entry of another (b, a).
 
         >>> from_window([2, 4, 1, 5, 6, 3]).is_321_avoiding()
         True
         >>> from_window([2, 5, 3, 1, 4]).is_321_avoiding()
         False
         """
-        w = self.window
-        n = len(w)
-        if n < 3:
-            return True
-        suffix_min = [0] * n
-        m = w[-1]
-        for j in range(n - 1, -1, -1):
-            m = min(m, w[j])
-            suffix_min[j] = m
-        prefix_max = w[0]
-        for j in range(1, n - 1):
-            if prefix_max > w[j] > suffix_min[j + 1]:
-                return False
-            prefix_max = max(prefix_max, w[j])
-        return True
+        larger = {c for c, _ in self.inversions}
+        return larger.isdisjoint([b for _, b in self.inversions])
 
     def inversions_pairwise_share_letter(self) -> bool:
         """True iff every two inversions of w, read as value pairs, intersect.
 
         Vacuously true with at most one inversion.  This is the window-level
-        test for a permutation having a single braid class.
+        test for a permutation having a single braid class.  Two-element sets
+        that pairwise intersect either all share one value or are the three
+        sides of a triangle.
         """
-        inv = self.inversion_value_pairs()
-        for x in range(len(inv)):
-            ax, bx = inv[x]
-            for y in range(x + 1, len(inv)):
-                ay, by = inv[y]
-                if ax != ay and ax != by and bx != ay and bx != by:
-                    return False
-        return True
+        inv = self.inversions
+        if len(inv) <= 1 or set(inv[0]).intersection(*inv[1:]):
+            return True
+        return len(inv) == 3 and len(set().union(*inv)) == 3
+
+    def __reduce__(self):
+        return Permutation, (self.window,)
 
     def __str__(self) -> str:
         return window_text(self)

@@ -336,11 +336,14 @@ def scan(options: ScanOptions) -> ScanReport:
     Re-running against an existing output file of the same n, checks and
     cap reuses its records (matched by window) instead of recomputing them;
     the file is rewritten whole so that the result is identical to a fresh
-    run.
+    run.  An output path that cannot be written raises OSError before the
+    first permutation is computed, not after the last.
     """
     n = options.n
     windows = list(_lex_windows(range(1, n + 1)))
     existing = _load_existing(options)
+    if options.output_path:
+        open(options.output_path + ".tmp", "w", encoding="utf-8").close()
     todo = [k for k, win in enumerate(windows) if win not in existing]
     width_pass = bool(options.checks & _NEED_WIDTH) and n <= WIDTH_PASS_MAX_N
 

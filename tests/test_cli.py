@@ -157,7 +157,7 @@ def test_conjecture(cli):
     assert obj["counterexamples"] == []
 
 
-def test_usage_errors(cli):
+def test_usage_errors(cli, tmp_path):
     code, _, err = cli("words", "[2231]")
     assert code == 1
     assert "redwords" in err
@@ -180,6 +180,11 @@ def test_usage_errors(cli):
     # interval never enumerates R(w), so it has no cap to set
     code, _, err = cli("interval", "[21]", "--cap", "5")
     assert code == 1
+    # an output that cannot be written is reported before the scan runs
+    missing = str(tmp_path / "missing" / "s5.jsonl")
+    code, out, err = cli("scan", "--n", "5", "--checks", "bounds", "--output", missing)
+    assert (code, out) == (1, "")
+    assert err.startswith("redwords: ") and err.count("\n") == 1
 
 
 def test_strict_cap_exit_code(cli):

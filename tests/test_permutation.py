@@ -1,4 +1,5 @@
-from itertools import permutations
+import pickle
+from itertools import combinations, permutations
 
 import pytest
 
@@ -85,7 +86,7 @@ def test_is_321_avoiding_examples():
     assert identity(6).is_321_avoiding()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_is_321_avoiding_matches_brute_force(n):
     for w in all_permutations(n):
         assert w.is_321_avoiding() == brute_force_321_avoiding(w)
@@ -97,6 +98,29 @@ def test_inversions_pairwise_share_letter():
     assert identity(5).inversions_pairwise_share_letter()
     # one inversion: vacuously true
     assert from_window([2, 1, 3]).inversions_pairwise_share_letter()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_inversions_pairwise_share_letter_matches_brute_force(n):
+    for w in all_permutations(n):
+        win = w.window
+        inversions = [
+            {win[i], win[j]} for i, j in combinations(range(n), 2) if win[i] > win[j]
+        ]
+        expected = all(x & y for x, y in combinations(inversions, 2))
+        assert w.inversions_pairwise_share_letter() == expected, win
+
+
+def test_reading_inversions_keeps_equality_hash_and_pickle():
+    for window in ((2, 5, 3, 1, 4), (3, 2, 1), (1,)):
+        read, fresh = from_window(window), from_window(window)
+        assert read.inversions == tuple(
+            (a, b) for a, b in combinations(window, 2) if a > b
+        )
+        assert read == fresh and hash(read) == hash(fresh)
+        assert pickle.dumps(read) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(read)) == fresh
+        assert "inversions" not in vars(pickle.loads(pickle.dumps(read)))
 
 
 def test_complement_and_inverse_are_length_preserving_involutions():

@@ -190,7 +190,7 @@ def test_scan_output_and_resume(tmp_path, monkeypatch):
     # which checks and cap its records were made, so nothing in it is reused
     # and all 24 records are recomputed, to the identical bytes.  An
     # interrupted run resumes only once records stream after such a header
-    # (ROADMAP item 4).
+    # (ROADMAP item 1b).
     lines = full.splitlines(keepends=True)
     out.write_text("".join(lines[:10]))
     monkeypatch.setattr(scan_module, "verify_permutation", counting)
@@ -204,6 +204,25 @@ def test_scan_output_and_resume(tmp_path, monkeypatch):
     rep3 = scan(ScanOptions(n=4, checks=frozenset({"bounds"}), output_path=str(out)))
     assert rep3.total == 24
     assert all(rec.width is None for rec in rep3.records)
+
+
+def test_unwritable_output_fails_before_any_permutation(tmp_path, monkeypatch):
+    import importlib
+
+    scan_module = importlib.import_module("redwords.scan")
+    computed = []
+    real = scan_module.verify_permutation
+
+    def counting(w, **kwargs):
+        computed.append(w.window)
+        return real(w, **kwargs)
+
+    monkeypatch.setattr(scan_module, "verify_permutation", counting)
+    with pytest.raises(FileNotFoundError):
+        scan(ScanOptions(n=4, output_path=str(tmp_path / "missing" / "s4.jsonl")))
+    with pytest.raises(IsADirectoryError):
+        scan(ScanOptions(n=4, output_path=str(tmp_path)))
+    assert computed == []
 
 
 def test_scan_resume_ignores_records_from_a_different_cap(tmp_path):
