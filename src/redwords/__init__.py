@@ -109,7 +109,6 @@ _LAZY = {
         "is_connected",
         "is_tree",
         "jump_property",
-        "verify_jump_property",
     ), "graphs"),
 }
 

@@ -27,7 +27,7 @@ from typing import Sequence
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation
 from .permutation import Permutation
-from .reduced_words import DEFAULT_WORD_CAP, WordSet
+from .reduced_words import DEFAULT_WORD_CAP, WordSet, evaluate
 
 # Counts stay below 2^53 (exact in JSON / IEEE doubles) through n = 30.
 MAX_COUNT_N = 30
@@ -125,8 +125,6 @@ def _lower_template_words(n: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def lower_template_windows(n: int) -> frozenset[tuple[int, ...]]:
     """Windows of all template permutations for S_n."""
-    from .reduced_words import evaluate
-
     wins = set()
     for word in _lower_template_words(n):
         wins.add(evaluate(word, n).window)

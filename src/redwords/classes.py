@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, Sized
 
 import numpy as np
 
-from .coxeter_moves import BRAID, COMMUTATION
+from .coxeter_moves import BRAID, COMMUTATION, neighbors
 from .errors import InvariantViolation
 from .reduced_words import Word, WordSet, letter_rows, row_keys
 
@@ -217,8 +217,6 @@ def class_closure(word: Sequence[int], kind: str) -> list[Word]:
     Breadth-first closure; does not require enumerating all of R(w), so it
     works on words whose permutation has an intractably large word set.
     """
-    from .coxeter_moves import neighbors
-
     start = bytes(word)
     seen = {start}
     frontier = [start]

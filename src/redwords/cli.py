@@ -48,8 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_perm_command(name, help_text, formats=("text", "json"), capped=True):
+    def add_perm_command(name, handler, help_text, formats=("text", "json"), capped=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("window", help='permutation window, e.g. "[25314]" or "2 5 3 1 4"')
         p.add_argument("--format", choices=formats, default=formats[0])
         if capped:
@@ -59,23 +60,25 @@ def build_parser() -> argparse.ArgumentParser:
                            help="exit 3 instead of reporting a cap skip")
         return p
 
-    add_perm_command("words", "list R(w) in lexicographic order")
-    p = add_perm_command("classes", "list braid or commutation classes")
+    add_perm_command("words", _cmd_words, "list R(w) in lexicographic order")
+    p = add_perm_command("classes", _cmd_classes, "list braid or commutation classes")
     p.add_argument("--kind", choices=(BRAID, COMMUTATION), default=COMMUTATION)
-    add_perm_command("table", "the braid-by-commutation intersection table",
+    add_perm_command("table", _cmd_table, "the braid-by-commutation intersection table",
                      formats=("text", "json", "csv"))
-    p = add_perm_command("graph", "move graph or a contraction, DOT or JSON",
+    p = add_perm_command("graph", _cmd_graph, "move graph or a contraction, DOT or JSON",
                          formats=("dot", "json"))
     p.add_argument("--which", choices=("word", "gc", "gb", "gamma"), default="word")
-    add_perm_command("check", "bound status and every predicate for one permutation")
-    add_perm_command("interval", "weak order interval: rank sizes, width, support",
+    add_perm_command("check", _cmd_check, "bound status and every predicate for one permutation")
+    add_perm_command("interval", _cmd_interval, "weak order interval: rank sizes, width, support",
                      capped=False)
 
     p = sub.add_parser("counts", help="closed-form Catalan / upper / lower counts")
+    p.set_defaults(handler=_cmd_counts)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("scan", help="verify every statement across all of S_n")
+    p.set_defaults(handler=_cmd_scan)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP)
     p.add_argument("--workers", type=int, default=1)
@@ -89,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="text prints the report summary instead of JSON Lines")
 
     p = sub.add_parser("conjecture", help="test the weak-order conjecture on all of S_n")
+    p.set_defaults(handler=_cmd_conjecture)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP)
     p.add_argument("--workers", type=int, default=1)
@@ -142,7 +146,7 @@ def run(argv: Sequence[str]) -> int:
     if hasattr(args, "window"):  # a one-permutation request, not a scan
         _fix_mmap_threshold()
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"redwords: {exc}", file=sys.stderr)
         return 1
@@ -157,32 +161,10 @@ def run(argv: Sequence[str]) -> int:
         return 2
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    return {
-        "words": _cmd_words,
-        "classes": _cmd_classes,
-        "table": _cmd_table,
-        "graph": _cmd_graph,
-        "check": _cmd_check,
-        "interval": _cmd_interval,
-        "counts": _cmd_counts,
-        "scan": _cmd_scan,
-        "conjecture": _cmd_conjecture,
-    }[args.command](args)
-
-
-def _perm(args: argparse.Namespace) -> Permutation:
-    return parse_window(args.window)
-
-
-def _emit_json(obj: dict) -> None:
-    print(_canonical(obj))
-
-
 def _emit_json_around(obj: dict, key: str, write_value) -> None:
-    """Print ``obj`` as _emit_json would with obj[key] added, where the value
-    is written by ``write_value()`` straight to stdout, so that its JSON text
-    is never held whole.
+    """Print ``_canonical(obj)`` with obj[key] added, where the value is
+    written by ``write_value()`` straight to stdout, so that its JSON text is
+    never held whole.
     """
     text = _canonical({**obj, key: None})
     head, tail = text.split(f'"{key}":null')
@@ -192,7 +174,7 @@ def _emit_json_around(obj: dict, key: str, write_value) -> None:
 
 
 def _write_json_list(items: Iterable) -> None:
-    """Write the JSON array of ``items`` as _emit_json would, 1,024 at a time."""
+    """Write the JSON array ``_canonical(list(items))``, 1,024 items at a time."""
     sys.stdout.write("[")
     items = iter(items)
     sep = ""
@@ -233,7 +215,7 @@ def _write_json_word_list(ws) -> None:
 
 
 def _cmd_words(args) -> int:
-    w = _perm(args)
+    w = parse_window(args.window)
     ws = enumerate_words(w, cap=args.cap)
     if args.format == "json":
         _emit_json_around({
@@ -252,16 +234,16 @@ def _cmd_words(args) -> int:
 def _cmd_classes(args) -> int:
     from .graphs import analyse
 
-    w = _perm(args)
+    w = parse_window(args.window)
     part = analyse(w, cap=args.cap).partition(args.kind)
     label = "B" if args.kind == BRAID else "C"
     if args.format == "json":
-        _emit_json({
+        print(_canonical({
             "schema": SCHEMA,
             "window": list(w.window),
             "kind": args.kind,
             "classes": [[word_text(u) for u in cls] for cls in part.as_word_lists()],
-        })
+        }))
     else:
         for k, cls in enumerate(part.as_word_lists(), 1):
             print(f"{label}{k}: " + " ".join(word_text(u) for u in cls))
@@ -271,9 +253,9 @@ def _cmd_classes(args) -> int:
 def _cmd_table(args) -> int:
     from .graphs import analyse, build_table
 
-    w = _perm(args)
+    w = parse_window(args.window)
     an = analyse(w, cap=args.cap)
-    table = build_table(an.partition(BRAID), an.partition(COMMUTATION))
+    table = build_table(an)
     if args.format == "json":
         _emit_json_around({
             "schema": SCHEMA,
@@ -301,17 +283,17 @@ def _cmd_table(args) -> int:
 def _cmd_graph(args) -> int:
     from .graphs import analyse, build_gamma, build_word_graph, export_dot
 
-    w = _perm(args)
+    w = parse_window(args.window)
     an = analyse(w, cap=args.cap)
     if args.which == "gamma":
-        g = build_gamma(an.partition(BRAID), an.partition(COMMUTATION))
+        g = build_gamma(an)
     elif args.which == "word":
-        g = build_word_graph(an.word_set)
+        g = build_word_graph(an)
     else:
         g = an.class_graph(COMMUTATION if args.which == "gc" else BRAID)
     style = "word" if args.which == "word" else "class"
     if args.format == "json":
-        _emit_json({
+        print(_canonical({
             "schema": SCHEMA,
             "window": list(w.window),
             "which": args.which,
@@ -325,7 +307,7 @@ def _cmd_graph(args) -> int:
                 }
                 for e in g.edges
             ],
-        })
+        }))
     else:
         sys.stdout.write(export_dot(g, style=style))
     return 0
@@ -335,12 +317,12 @@ def _cmd_check(args) -> int:
     from .reduced_words import count_words
     from .scan import verify_permutation
 
-    w = _perm(args)
+    w = parse_window(args.window)
     record = verify_permutation(w, word_cap=args.cap)
     if record.skipped:
         raise WordCapExceeded(w.window, count_words(w), args.cap)
     if args.format == "json":
-        _emit_json(record.to_json_obj())
+        print(_canonical(record.to_json_obj()))
     else:
         print(f"window: {window_text(w)}")
         print(f"length: {record.length}")
@@ -363,10 +345,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_interval(args) -> int:
-    w = _perm(args)
+    w = parse_window(args.window)
     iv = interval_by_closure(w)
     if args.format == "json":
-        _emit_json({
+        print(_canonical({
             "schema": SCHEMA,
             "window": list(w.window),
             "rank_sizes": list(iv.rank_sizes),
@@ -376,7 +358,7 @@ def _cmd_interval(args) -> int:
             "ranks": [
                 [window_text(Permutation(win)) for win in rank] for rank in iv.ranks
             ],
-        })
+        }))
     else:
         print(f"window: {window_text(w)}")
         print("rank_sizes: " + " ".join(str(s) for s in iv.rank_sizes))
@@ -390,7 +372,7 @@ def _cmd_counts(args) -> int:
     n = args.n
     values = {"n": n, "catalan": catalan(n), "upper": count_upper(n), "lower": count_lower(n)}
     if args.format == "json":
-        _emit_json({"schema": SCHEMA, **values})
+        print(_canonical({"schema": SCHEMA, **values}))
     elif args.format == "csv":
         print("n,catalan,upper,lower")
         print(f"{n},{values['catalan']},{values['upper']},{values['lower']}")
@@ -454,14 +436,14 @@ def _cmd_conjecture(args) -> int:
     skipped = report.skipped_count
     counterexamples = [list(win) for win in report.conjecture_counterexamples]
     if args.format == "json":
-        _emit_json({
+        print(_canonical({
             "schema": SCHEMA,
             "n": report.n,
             "total": report.total,
             "agreements": agreements,
             "skipped": skipped,
             "counterexamples": counterexamples,
-        })
+        }))
     else:
         print(f"S_{report.n}: {agreements} of {report.total} agree, {skipped} skipped")
         if counterexamples:

@@ -8,7 +8,8 @@ commutation classes with one edge per reduced word, and the intersection
 table arranges the same data as a grid with at most one word per cell.
 
 ``analyse(w)`` builds the per-permutation ``Analysis`` that the scan, the
-bound and circuit-freeness functions and the CLI read from.
+bound and circuit-freeness functions, the CLI and the views G(w), Gamma(w)
+and T(w) read from.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .classes import (
     IndexPairs,
     braid_class_shape,
     components,
-    move_edges,
     odd_components,
     partition_with_edges,
     path_product_edge_count,
@@ -58,7 +58,7 @@ class LabeledGraph:
         return len(self.edges)
 
 
-def build_word_graph(word_set: WordSet) -> LabeledGraph:
+def build_word_graph(an: Analysis) -> LabeledGraph:
     """G(w): one vertex per word, one labeled edge per supported move.
 
     Commutation edges are listed before braid edges, each by (word, position),
@@ -66,10 +66,10 @@ def build_word_graph(word_set: WordSet) -> LabeledGraph:
     """
     edges = []
     for kind in (COMMUTATION, BRAID):
-        found = move_edges(word_set.rows, kind)  # by position, then by word
+        found = an.edges(kind)  # by position, then by word
         by_word = np.argsort(found.u, kind="stable")
         edges += (Edge(u, v, kind) for u, v in IndexPairs(found.u[by_word], found.v[by_word]))
-    return LabeledGraph(labels=tuple(word_text(u) for u in word_set.words), edges=tuple(edges))
+    return LabeledGraph(labels=tuple(word_text(u) for u in an.word_set.words), edges=tuple(edges))
 
 
 def contract(g: LabeledGraph, kind: str) -> LabeledGraph:
@@ -104,20 +104,13 @@ def is_tree(g: LabeledGraph) -> bool:
     return is_connected(g) and g.edge_count == g.vertex_count - 1
 
 
-def _check_same_word_set(bp: ClassPartition, cp: ClassPartition) -> None:
-    if bp.kind != BRAID or cp.kind != COMMUTATION:
-        raise ValueError("expected a braid partition and a commutation partition")
-    if bp.word_set is not cp.word_set and bp.word_set != cp.word_set:
-        raise ValueError("partitions are over different word sets")
-
-
-def build_gamma(bp: ClassPartition, cp: ClassPartition) -> LabeledGraph:
+def build_gamma(an: Analysis) -> LabeledGraph:
     """Gamma(w): vertices B1..Bb then C1..Cc, one witness-labeled edge per word.
 
     The edges are the filled cells of the intersection table, so a duplicate
     (braid class, commutation class) pair raises there.
     """
-    table = build_table(bp, cp)
+    table = build_table(an)
     b = table.rows
     labels = tuple(f"B{k + 1}" for k in range(b)) + tuple(
         f"C{k + 1}" for k in range(table.cols)
@@ -156,12 +149,11 @@ class IntersectionTable:
         return list(self.iter_rows())
 
 
-def build_table(bp: ClassPartition, cp: ClassPartition) -> IntersectionTable:
+def build_table(an: Analysis) -> IntersectionTable:
     """The intersection table T(w) with exactly |R(w)| filled cells."""
-    _check_same_word_set(bp, cp)
-    words = bp.word_set.words
+    bp, cp = an.partition(BRAID), an.partition(COMMUTATION)
     cells: dict[tuple[int, int], Word] = {}
-    for u, key in zip(words, zip(bp.class_of.tolist(), cp.class_of.tolist())):
+    for u, key in zip(an.word_set.words, zip(bp.class_of.tolist(), cp.class_of.tolist())):
         if key in cells:
             raise InvariantViolation(
                 f"cell {key} would hold both {word_text(cells[key])} and {word_text(u)}"
@@ -187,10 +179,6 @@ def jump_property(
     # per filled cell, form a connected graph; on two or more vertices that
     # also puts a filled cell in every row and column.
     return not components(rows + cols, IndexPairs(filled.u, rows + filled.v)).any()
-
-
-def verify_jump_property(table: IntersectionTable) -> bool:
-    return jump_property(table.rows, table.cols, set(table.cells))
 
 
 class Analysis:
@@ -239,7 +227,7 @@ class Analysis:
     def class_graph(self, kind: str) -> LabeledGraph:
         """G_c for kind=COMMUTATION, G_b for kind=BRAID, from the index arrays.
 
-        The same graph as ``contract(build_word_graph(word_set), kind)``,
+        The same graph as ``contract(build_word_graph(self), kind)``,
         without building G(w): ``class_edges`` without its loops.
         """
         other = BRAID if kind == COMMUTATION else COMMUTATION

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 from typing import Iterator, Sequence
 
 # The workloads built on top of this module are factorial in n, so a large
@@ -166,11 +167,9 @@ def longest_element(n: int) -> Permutation:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic window order."""
-    from itertools import permutations as _perms
-
     if n < 1:
         raise ValueError("n must be at least 1")
-    for win in _perms(range(1, n + 1)):
+    for win in permutations(range(1, n + 1)):
         yield Permutation(win)
 
 

@@ -11,6 +11,7 @@ in S_n at once, in one pass up the weak order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .characterizations import is_circuit_free
 from .permutation import Permutation, inversion_count
@@ -117,8 +118,6 @@ def interval_widths(n: int) -> list[int]:
     w s_i, all one rank below; only that rank's bitsets are kept.  The size
     of each rank of [e, w] is the popcount of its bitset over that range.
     """
-    from itertools import permutations
-
     windows = list(permutations(range(1, n + 1)))
     by_length: list[list[int]] = [[] for _ in range(n * (n - 1) // 2 + 1)]
     for k, win in enumerate(windows):

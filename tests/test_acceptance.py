@@ -26,7 +26,7 @@ from redwords.coxeter_moves import (
     apply_braid,
     apply_commutation,
 )
-from redwords.graphs import build_table
+from redwords.graphs import analyse, build_table
 from redwords.permutation import all_permutations, parse_window
 from redwords.reduced_words import enumerate_words, evaluate, parse_word, word_text
 from redwords.scan import ScanOptions, scan
@@ -44,10 +44,11 @@ def check(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_worked_example_fidelity(capsys):
     start = time.perf_counter()
-    ws = enumerate_words(parse_window("[25314]"))
-    cp = partition(ws, COMMUTATION)
-    bp = partition(ws, BRAID)
-    table = build_table(bp, cp)
+    an = analyse(parse_window("[25314]"))
+    ws = an.word_set
+    cp = an.partition(COMMUTATION)
+    bp = an.partition(BRAID)
+    table = build_table(an)
     elapsed = time.perf_counter() - start
 
     ok = [word_text(u) for u in ws.words] == [

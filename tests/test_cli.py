@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -319,3 +320,52 @@ def test_words_json_spans_several_batches(cli):
     assert json.loads(out)["words"] == [
         word_text(u) for u in enumerate_words(parse_window("[564321]")).words
     ]
+
+
+# sha256 of the stdout of one view over all 24 permutations of S_4, in
+# lexicographic window order, as released before the views were rebuilt on
+# the Analysis; any change to a class list, a table or a graph shows here.
+PINNED_S4_VIEW_SHA256 = {
+    "classes --kind braid --format text":
+        "57ce97065508c0cead47a9f7a21c5483bb1f241677c1df1c84036f45b0dee571",
+    "classes --kind braid --format json":
+        "527ac02cf17528127343a8efeb8d3a101826704f372cd65f4473591a3664bdc9",
+    "classes --kind commutation --format text":
+        "f33c6094f480b2ee47de1d29a029e6352c9f7b8d397610531453c080233ac435",
+    "classes --kind commutation --format json":
+        "f0cf80ddd8e7fa5cd30bc3e16d4cc570af461a62c3ce7be5983f78e49a187c7c",
+    "table --format text":
+        "3e7efde156b9c825851bd11d72fd7a35473b03adce59250c09df8c3cf0f6f77e",
+    "table --format csv":
+        "d87f6fbc2587043b5ac8acf1a717d70ae05bc24462634cda397f74abdc08702c",
+    "table --format json":
+        "f2703f7b2fdcc078d5d68df275df73d8bda0779db929a9fa47d43718c63070fa",
+    "graph --which word --format dot":
+        "bf73f4c936759b8b388acdd6da402bfe0426c81db0fd889c87cbcd15f1cb40a8",
+    "graph --which word --format json":
+        "5f90441e35223a5358f10c8a50999154d95ba01af1f16e498ae2bf35c4f65f16",
+    "graph --which gc --format dot":
+        "18b6fb92c3ab8b204c2621d3ff196f39f527102747c4960ebc848f9e809dc929",
+    "graph --which gc --format json":
+        "02599525e881590e75822e4c4ea968aa65d0d23e775faa0a3e7f9cc2c748096f",
+    "graph --which gb --format dot":
+        "fcdb7ef09f0215a54f464b00740e5c2d58c4662609a5115d2e5b8692a061fbf5",
+    "graph --which gb --format json":
+        "d95a3d9deece2522289d3200f35bf514b0d636f4f38dba31e5d375471e8560b5",
+    "graph --which gamma --format dot":
+        "5785a4a4e3c06244d9a0ebffff7280f68f6f8ba27f8279c7037a522158548ce5",
+    "graph --which gamma --format json":
+        "6ba5af5ea10106ae6d75ab45115eb85bd6269b5a46948ffb2a33af29c0fbdfcf",
+}
+
+
+@pytest.mark.parametrize("view", sorted(PINNED_S4_VIEW_SHA256))
+def test_views_of_every_s4_permutation_are_pinned(cli, view):
+    from itertools import permutations
+
+    digest = hashlib.sha256()
+    for window in permutations("1234"):
+        code, out, err = cli(*view.split(), "[" + "".join(window) + "]")
+        assert (code, err) == (0, ""), window
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == PINNED_S4_VIEW_SHA256[view]

@@ -1,6 +1,6 @@
 import pytest
 
-from redwords.classes import ClassPartition, partition, verify_braid_class_graph
+from redwords.classes import ClassPartition, verify_braid_class_graph
 from redwords.coxeter_moves import BRAID, COMMUTATION
 from redwords.graphs import (
     Edge,
@@ -15,15 +15,14 @@ from redwords.graphs import (
     is_connected,
     is_tree,
     jump_property,
-    verify_jump_property,
 )
 from redwords.permutation import all_permutations, identity, parse_window
-from redwords.reduced_words import enumerate_words, word_text
+from redwords.reduced_words import word_text
 
 
 def graph_for(window_text_form):
-    ws = enumerate_words(parse_window(window_text_form))
-    return ws, build_word_graph(ws)
+    an = analyse(parse_window(window_text_form))
+    return an, build_word_graph(an)
 
 
 def edge_set(g, kind):
@@ -31,7 +30,7 @@ def edge_set(g, kind):
 
 
 def test_word_graph_25314():
-    ws, g = graph_for("[25314]")
+    an, g = graph_for("[25314]")
     assert g.vertex_count == 6
     assert sum(1 for e in g.edges if e.kind == COMMUTATION) == 4
     assert sum(1 for e in g.edges if e.kind == BRAID) == 2
@@ -42,15 +41,15 @@ def test_word_graph_25314():
 
 
 def test_word_graph_trivial_cases():
-    ws, g = graph_for("[1234]")
+    an, g = graph_for("[1234]")
     assert (g.vertex_count, g.edge_count) == (1, 0)
-    ws, g = graph_for("[321]")
+    an, g = graph_for("[321]")
     assert g.vertex_count == 2
     assert edge_set(g, BRAID) == {("121", "212")}
 
 
 def test_contract_25314():
-    ws, g = graph_for("[25314]")
+    an, g = graph_for("[25314]")
     gc = contract(g, COMMUTATION)
     assert gc.labels == ("C1", "C2")
     assert [(e.u, e.v, e.kind) for e in gc.edges] == [(0, 1, BRAID)]
@@ -62,7 +61,7 @@ def test_contract_25314():
 
 
 def test_predicates():
-    ws, g = graph_for("[25314]")
+    an, g = graph_for("[25314]")
     assert is_connected(g)
     assert is_bipartite(contract(g, COMMUTATION))
     assert is_bipartite(contract(g, BRAID))
@@ -107,9 +106,7 @@ def test_is_bipartite_matches_brute_force_two_coloring():
 
 
 def test_gamma_25314():
-    ws = enumerate_words(parse_window("[25314]"))
-    bp, cp = partition(ws, BRAID), partition(ws, COMMUTATION)
-    gamma = build_gamma(bp, cp)
+    gamma = build_gamma(analyse(parse_window("[25314]")))
     assert gamma.labels == ("B1", "B2", "B3", "B4", "C1", "C2")
     assert gamma.edge_count == 6  # one per reduced word
     assert not is_tree(gamma)
@@ -121,32 +118,18 @@ def test_gamma_25314():
 
 
 def test_gamma_identity_and_tree_case():
-    ws = enumerate_words(identity(4))
-    gamma = build_gamma(partition(ws, BRAID), partition(ws, COMMUTATION))
+    gamma = build_gamma(analyse(identity(4)))
     assert gamma.vertex_count == 2
     assert gamma.edge_count == 1
     assert is_tree(gamma)
     # [3421] achieves the lower bound: Gamma is a tree with 5 edges
-    ws = enumerate_words(parse_window("[3421]"))
-    gamma = build_gamma(partition(ws, BRAID), partition(ws, COMMUTATION))
+    gamma = build_gamma(analyse(parse_window("[3421]")))
     assert gamma.edge_count == 5
     assert is_tree(gamma)
 
 
-def test_gamma_requires_matching_partitions():
-    ws = enumerate_words(parse_window("[3421]"))
-    other = enumerate_words(parse_window("[4321]"))
-    bp = partition(ws, BRAID)
-    cp_other = partition(other, COMMUTATION)
-    with pytest.raises(ValueError):
-        build_gamma(bp, cp_other)
-    with pytest.raises(ValueError):
-        build_gamma(partition(ws, COMMUTATION), partition(ws, COMMUTATION))
-
-
 def test_table_25314():
-    ws = enumerate_words(parse_window("[25314]"))
-    table = build_table(partition(ws, BRAID), partition(ws, COMMUTATION))
+    table = build_table(analyse(parse_window("[25314]")))
     assert (table.rows, table.cols) == (4, 2)
     assert len(table.cells) == 6
     assert table.to_rows() == [
@@ -155,19 +138,18 @@ def test_table_25314():
         ["41232", "41323"],
         [None, "43123"],
     ]
-    assert verify_jump_property(table)
+    assert jump_property(table.rows, table.cols, table.cells)
 
 
 def test_table_trivial_cases():
-    ws = enumerate_words(identity(3))
-    table = build_table(partition(ws, BRAID), partition(ws, COMMUTATION))
+    table = build_table(analyse(identity(3)))
     assert (table.rows, table.cols) == (1, 1)
     assert table.to_rows() == [["e"]]
     # fully commutative: a single column, every row filled
-    ws = enumerate_words(parse_window("[241563]"))
-    table = build_table(partition(ws, BRAID), partition(ws, COMMUTATION))
+    an = analyse(parse_window("[241563]"))
+    table = build_table(an)
     assert table.cols == 1
-    assert table.rows == len(ws)
+    assert table.rows == len(an.word_set)
     assert all(row[0] is not None for row in table.to_rows())
 
 
@@ -191,25 +173,26 @@ def test_jump_property_grid_cases():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_word_graph_invariants_exhaustive(n):
     for w in all_permutations(n):
-        ws = enumerate_words(w)
-        g = build_word_graph(ws)
-        bp, cp = partition(ws, BRAID), partition(ws, COMMUTATION)
+        an = analyse(w)
+        ws = an.word_set
+        g = build_word_graph(an)
+        bp, cp = an.partition(BRAID), an.partition(COMMUTATION)
         assert is_connected(g)
         gc, gb = contract(g, COMMUTATION), contract(g, BRAID)
         assert gc.vertex_count == len(cp)
         assert gb.vertex_count == len(bp)
         assert is_bipartite(gc) and is_bipartite(gb)
-        gamma = build_gamma(bp, cp)
+        gamma = build_gamma(an)
         assert gamma.edge_count == len(ws)
         assert is_connected(gamma)
-        table = build_table(bp, cp)
+        table = build_table(an)
         assert len(table.cells) == len(ws)
-        assert verify_jump_property(table)
+        assert jump_property(table.rows, table.cols, table.cells)
         assert is_tree(gamma) == (len(ws) == len(bp) + len(cp) - 1)
 
 
 def test_export_dot():
-    ws, g = graph_for("[25314]")
+    an, g = graph_for("[25314]")
     dot = export_dot(g)
     assert dot.startswith("graph {")
     assert dot.count("[style=dashed]") == 2
@@ -218,7 +201,7 @@ def test_export_dot():
     assert export_dot(g) == dot  # deterministic
     empty = LabeledGraph(labels=(), edges=())
     assert export_dot(empty) == "graph {\n  node [shape=ellipse];\n}\n"
-    gamma = build_gamma(partition(ws, BRAID), partition(ws, COMMUTATION))
+    gamma = build_gamma(an)
     gdot = export_dot(gamma, style="class")
     assert "node [shape=box];" in gdot
     assert 'label="12432"' in gdot
@@ -231,7 +214,7 @@ def test_class_graphs_from_the_analysis_match_contraction():
     for n in (3, 4, 5):
         for w in all_permutations(n):
             an = analyse(w)
-            g = build_word_graph(an.word_set)
+            g = build_word_graph(an)
             for kind in (BRAID, COMMUTATION):
                 assert an.class_graph(kind) == contract(g, kind)
 

@@ -1,8 +1,13 @@
 import hashlib
+import importlib
 import json
 
+import numpy as np
 import pytest
 
+import redwords.graphs as graphs
+from redwords.classes import ClassPartition, IndexPairs
+from redwords.coxeter_moves import BRAID, COMMUTATION
 from redwords.errors import InvariantViolation
 from redwords.permutation import MAX_N, longest_element, parse_window
 from redwords.scan import (
@@ -11,6 +16,8 @@ from redwords.scan import (
     scan,
     verify_permutation,
 )
+
+scan_module = importlib.import_module("redwords.scan")
 
 
 def test_options_validation():
@@ -62,6 +69,93 @@ def test_longest_s7_is_skipped_at_default_cap():
     assert count_words(w0) == 1_100_742_656
     rec = verify_permutation(w0)
     assert rec.skipped == "cap"
+
+
+def _doctored(kind, class_of=None, edges=None):
+    """Change, in every Analysis, the class ids or the move edges of one kind.
+
+    ``class_of`` maps the word indices to the class ids that replace the
+    true ones; ``edges`` maps the true move edges to the ones read instead.
+    """
+
+    def doctor(monkeypatch):
+        real = graphs.partition_with_edges
+
+        def doctored(word_set, k):
+            part, moves = real(word_set, k)
+            if k == kind and class_of is not None:
+                part = ClassPartition(k, word_set, class_of(np.arange(len(word_set))))
+            if k == kind and edges is not None:
+                moves = edges(moves)
+            return part, moves
+
+        monkeypatch.setattr(graphs, "partition_with_edges", doctored)
+
+    return doctor
+
+
+def _negated(name):
+    """Negate the answer of one predicate that verify_permutation calls."""
+
+    def doctor(monkeypatch):
+        real = getattr(scan_module, name)
+        monkeypatch.setattr(scan_module, name, lambda *args: not real(*args))
+
+    return doctor
+
+
+def _with_loop(moves):
+    return IndexPairs(np.append(moves.u, 0), np.append(moves.v, 0))
+
+
+# [321] has the words 121 and 212: one braid class, two commutation classes.
+# [2143] has 13 and 31: two braid classes, one commutation class.  [23541]
+# has four words.  Merging or splitting their classes breaks the statements
+# that tie the two partitions to each other and to the window.
+MERGED, SPLIT = (lambda i: i * 0), (lambda i: i)
+VIOLATIONS = [
+    ("some braid and commutation class share 2 words",
+     "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
+    ("a braid move crossed braid classes", "[321]", [_doctored(BRAID, class_of=SPLIT)]),
+    ("braid class 0 is not bipartite", "[321]", [_doctored(BRAID, edges=_with_loop)]),
+    ("Gamma(w) (equivalently G(w)) is disconnected",
+     "[321]", [_doctored(BRAID, class_of=SPLIT)]),
+    ("G_c(w) is not bipartite", "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
+    ("G_b(w) is not bipartite", "[2143]", [_doctored(BRAID, class_of=MERGED)]),
+    ("the intersection table fails the jump property",
+     "[321]", [_doctored(BRAID, class_of=SPLIT)]),
+    ("bounds failed: b=1 c=1 r=2", "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
+    ("c=1 but b != r", "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
+    ("b=1 but c != r", "[2143]", [_doctored(BRAID, class_of=MERGED)]),
+    ("upper bound achieved but neither class count is 1",
+     "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
+    ("upper achiever does not match the window predicate",
+     "[321]", [_negated("upper_predicate")]),
+    ("321-avoidance does not match c = 1", "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
+    ("pairwise-sharing inversions does not match b = 1",
+     "[321]", [_doctored(BRAID, class_of=SPLIT)]),
+    ("lower bound achieved but Gamma(w) is not a tree",
+     "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
+    ("lower achiever does not match the template predicate",
+     "[321]", [_negated("lower_predicate_pattern")]),
+    ("lower achiever does not match the word-level templates",
+     "[321]", [_negated("lower_pattern_from_words")]),
+    ("upper achiever fails the lower bound", "[23541]", [
+        _doctored(BRAID, class_of=lambda i: i // 2),
+        _doctored(COMMUTATION, class_of=lambda i: i % 2),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "message,window,doctors", [pytest.param(*case, id=case[0]) for case in VIOLATIONS]
+)
+def test_every_checked_statement_reports_its_violation(monkeypatch, message, window, doctors):
+    w = parse_window(window)
+    assert verify_permutation(w).violations == ()
+    for doctor in doctors:
+        doctor(monkeypatch)
+    assert message in verify_permutation(w).violations
 
 
 def test_verify_permutation_enumeration_free():
@@ -116,10 +210,8 @@ def test_scan_worker_determinism():
 
 @pytest.mark.parametrize("n,workers", [(4, 3), (6, 2), (8, 2)])
 def test_pool_batches_cover_every_permutation_longest_first(n, workers):
-    import importlib
     from itertools import permutations
 
-    scan_module = importlib.import_module("redwords.scan")
     args = [(win, (), 0) for win in permutations(range(1, n + 1))]
     batches = scan_module._costliest_first(args, workers)
     flat = [a for batch in batches for a in batch]
@@ -132,9 +224,6 @@ def test_pool_batches_cover_every_permutation_longest_first(n, workers):
 
 
 def test_weak_order_scan_is_the_same_by_width_pass_and_by_closure(monkeypatch):
-    import importlib
-
-    scan_module = importlib.import_module("redwords.scan")
     closures = []
     real = scan_module.interval_by_closure
 
@@ -171,9 +260,6 @@ def test_scan_skips_do_not_break_counts():
 
 
 def test_scan_output_and_resume(tmp_path, monkeypatch):
-    import importlib
-
-    scan_module = importlib.import_module("redwords.scan")
     computed = []
     real = scan_module.verify_permutation
 
@@ -207,9 +293,6 @@ def test_scan_output_and_resume(tmp_path, monkeypatch):
 
 
 def test_unwritable_output_fails_before_any_permutation(tmp_path, monkeypatch):
-    import importlib
-
-    scan_module = importlib.import_module("redwords.scan")
     computed = []
     real = scan_module.verify_permutation
 
@@ -246,9 +329,6 @@ def test_scan_resume_ignores_records_from_a_different_cap(tmp_path):
 
 
 def test_scan_aborts_on_violation(monkeypatch):
-    import importlib
-
-    scan_module = importlib.import_module("redwords.scan")
     real = scan_module.verify_permutation
 
     def broken(w, **kwargs):
@@ -288,9 +368,6 @@ def test_scan_jsonl_is_pinned_for_s6(scan_s6):
 
 
 def test_scan_resume_requires_the_same_checks_and_cap(tmp_path, monkeypatch):
-    import importlib
-
-    scan_module = importlib.import_module("redwords.scan")
     computed = []
     real = scan_module.verify_permutation
 
