@@ -15,12 +15,9 @@ from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
 from .characterizations import (
-    BoundStatus,
-    bound_status,
     catalan,
     count_lower,
     count_upper,
-    is_circuit_free,
     lower_pattern_from_words,
     lower_predicate_pattern,
     lower_template_windows,
@@ -72,7 +69,6 @@ from .scan import (
 )
 from .weak_order import (
     WeakInterval,
-    check_conjecture,
     conjecture_predicate,
     interval,
     interval_by_closure,
@@ -89,7 +85,6 @@ _LAZY = {
         "ClassPartition",
         "braid_class_shape",
         "class_closure",
-        "partition",
         "partition_with_edges",
         "path_product_edge_count",
         "verify_braid_class_graph",

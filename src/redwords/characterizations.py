@@ -19,46 +19,15 @@ needed), and a word-level route that scans an explicit word set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .coxeter_moves import BRAID, COMMUTATION
-from .errors import InvariantViolation
 from .permutation import Permutation
-from .reduced_words import DEFAULT_WORD_CAP, WordSet, evaluate
+from .reduced_words import WordSet, evaluate
 
 # Counts stay below 2^53 (exact in JSON / IEEE doubles) through n = 30.
 MAX_COUNT_N = 30
-
-
-@dataclass(frozen=True)
-class BoundStatus:
-    r: int
-    b: int
-    c: int
-    achieves_lower: bool
-    achieves_upper: bool
-
-
-def bound_status(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> BoundStatus:
-    """Compute (r, b, c) by enumeration and flag equality on either bound.
-
-    The bounds themselves are theorems, so a violation raises rather than
-    being reported back as data.
-    """
-    from .graphs import analyse
-
-    an = analyse(w, cap=cap)
-    r, b, c = len(an.word_set), len(an.partition(BRAID)), len(an.partition(COMMUTATION))
-    if not b + c - 1 <= r <= b * c:
-        raise InvariantViolation(
-            f"bounds failed for {list(w.window)}: b={b} c={c} r={r}"
-        )
-    return BoundStatus(
-        r=r, b=b, c=c, achieves_lower=(r == b + c - 1), achieves_upper=(r == b * c)
-    )
 
 
 def upper_predicate(w: Permutation) -> bool:
@@ -191,13 +160,6 @@ def lower_pattern_from_words(word_set: WordSet) -> bool:
     if w.length() > max(w.n, 5):
         return False
     return any(word_matches_lower_template(u, w.n) for u in word_set.words)
-
-
-def is_circuit_free(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> bool:
-    """True iff the incidence graph Gamma(w) is a tree."""
-    from .graphs import analyse
-
-    return analyse(w, cap=cap).circuit_free
 
 
 def _check_count_n(n: int) -> None:

@@ -198,19 +198,6 @@ def partition_with_edges(word_set: WordSet, kind: str) -> tuple[ClassPartition, 
     return ClassPartition(kind, word_set, components(len(word_set), edges)), edges
 
 
-def partition(word_set: WordSet, kind: str) -> ClassPartition:
-    """B(w) for kind="braid", C(w) for kind="commutation".
-
-    >>> from .permutation import from_window
-    >>> from .reduced_words import enumerate_words, word_text
-    >>> ws = enumerate_words(from_window([2, 5, 3, 1, 4]))
-    >>> [[word_text(u) for u in cls] for cls in partition(ws, "commutation").as_word_lists()]
-    [['12432', '14232', '41232'], ['14323', '41323', '43123']]
-    """
-    part, _ = partition_with_edges(word_set, kind)
-    return part
-
-
 def class_closure(word: Sequence[int], kind: str) -> list[Word]:
     """The full class of a single word under moves of one kind, sorted.
 

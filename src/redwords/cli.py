@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_scan)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes; at most one per CPU is started")
     p.add_argument("--checks", default="all",
                    help=f"comma list from {','.join(CHECK_GROUPS)}, or all/none")
     p.add_argument("--output", default="-",
@@ -95,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_conjecture)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_WORD_CAP)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes; at most one per CPU is started")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--strict", action="store_true")
     return parser

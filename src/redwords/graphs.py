@@ -8,8 +8,7 @@ commutation classes with one edge per reduced word, and the intersection
 table arranges the same data as a grid with at most one word per cell.
 
 ``analyse(w)`` builds the per-permutation ``Analysis`` that the scan, the
-bound and circuit-freeness functions, the CLI and the views G(w), Gamma(w)
-and T(w) read from.
+CLI and the views G(w), Gamma(w) and T(w) read from.
 """
 
 from __future__ import annotations
@@ -201,6 +200,14 @@ class Analysis:
         return got
 
     def partition(self, kind: str) -> ClassPartition:
+        """B(w) for kind="braid", C(w) for kind="commutation".
+
+        >>> from .permutation import from_window
+        >>> ws = enumerate_words(from_window([2, 5, 3, 1, 4]))
+        >>> part = Analysis(ws).partition("commutation")
+        >>> [[word_text(u) for u in cls] for cls in part.as_word_lists()]
+        [['12432', '14232', '41232'], ['14323', '41323', '43123']]
+        """
         return self._partition_with_edges(kind)[0]
 
     def edges(self, kind: str) -> IndexPairs:

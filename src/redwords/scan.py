@@ -262,7 +262,7 @@ def verify_permutation(
         if b == 1 and c != r:
             violations.append("b=1 but c != r")
         if achieves_upper != (b == 1 or c == 1):
-            violations.append("upper bound achieved but neither class count is 1")
+            violations.append("r = b * c does not match b = 1 or c = 1")
         if achieves_upper != upper_pred:
             violations.append("upper achiever does not match the window predicate")
         if fully_commutative != (c == 1):
@@ -270,7 +270,7 @@ def verify_permutation(
         if single_braid != (b == 1):
             violations.append("pairwise-sharing inversions does not match b = 1")
         if achieves_lower != circuit_free:
-            violations.append("lower bound achieved but Gamma(w) is not a tree")
+            violations.append("r = b + c - 1 does not match Gamma(w) being a tree")
         if achieves_lower != lower_pred:
             violations.append("lower achiever does not match the template predicate")
         if achieves_lower != lower_pattern_from_words(ws):
@@ -347,15 +347,18 @@ def scan(options: ScanOptions) -> ScanReport:
     todo = [k for k, win in enumerate(windows) if win not in existing]
     width_pass = bool(options.checks & _NEED_WIDTH) and n <= WIDTH_PASS_MAX_N
 
-    pooled = options.workers > 1 and len(todo) > 1
-    with ProcessPoolExecutor(max_workers=options.workers) if pooled else nullcontext() as pool:
+    # The pool forks all its workers at the first task, and workers beyond
+    # the core count add memory but no speed, so at most one per core starts.
+    workers = min(options.workers, os.cpu_count() or 1)
+    pooled = workers > 1 and len(todo) > 1
+    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
         mapper = pool.map if pool else map
         # With a pool the pass runs in a worker, so its bitsets never add to
         # the peak of this process, which holds every record.
         widths = next(mapper(interval_widths, [n])) if width_pass and todo else None
         items = [(windows[k], None if widths is None else widths[k]) for k in todo]
         verify = partial(_verify_batch, options.checks, options.word_cap)
-        batches = _costliest_first(items, options.workers)
+        batches = _costliest_first(items, workers)
         computed = [rec for recs in mapper(verify, batches) for rec in recs]
 
     by_window = dict(existing)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .characterizations import is_circuit_free
 from .permutation import Permutation, inversion_count
 from .reduced_words import DEFAULT_WORD_CAP, enumerate_words
 
@@ -164,11 +163,3 @@ def classify_conjecture(predicted: bool, circuit_free: bool) -> str:
         return AGREE
     return PREDICATE_WITHOUT_LOWER_BOUND if predicted else LOWER_BOUND_WITHOUT_PREDICATE
 
-
-def check_conjecture(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> str:
-    """Compare the conjectured conditions against actual circuit-freeness.
-
-    A mismatch is recorded, not raised: the statement under test is a
-    conjecture, and a counterexample would be a finding rather than a bug.
-    """
-    return classify_conjecture(conjecture_predicate(w), is_circuit_free(w, cap=cap))

@@ -16,7 +16,6 @@ from redwords.characterizations import count_lower, count_upper
 from redwords.classes import (
     braid_class_shape,
     class_closure,
-    partition,
     verify_braid_class_graph,
 )
 from redwords.cli import run as cli_run
@@ -26,7 +25,7 @@ from redwords.coxeter_moves import (
     apply_braid,
     apply_commutation,
 )
-from redwords.graphs import analyse, build_table
+from redwords.graphs import Analysis, analyse, build_table
 from redwords.permutation import all_permutations, parse_window
 from redwords.reduced_words import enumerate_words, evaluate, parse_word, word_text
 from redwords.scan import ScanOptions, scan
@@ -89,7 +88,7 @@ def test_criterion_1_worked_example_fidelity(capsys):
         if evaluate(bytes(seq), 6).window == w.window
     )
     ws2 = enumerate_words(w)
-    cp2 = partition(ws2, COMMUTATION)
+    cp2 = Analysis(ws2).partition(COMMUTATION)
     ok &= ws2.words == tuple(oracle)
     ok &= len(cp2) == 1
     ok &= [word_text(u) for u in cp2.class_words(0)] == [
@@ -98,7 +97,7 @@ def test_criterion_1_worked_example_fidelity(capsys):
     ]
 
     ws3 = enumerate_words(parse_window("[124563]"))
-    bp3 = partition(ws3, BRAID)
+    bp3 = Analysis(ws3).partition(BRAID)
     ok &= [[word_text(u) for u in cls] for cls in bp3.as_word_lists()] == [["345"]]
 
     check(1, "worked-example fidelity", bool(ok))
@@ -125,7 +124,7 @@ def test_criterion_3_braid_class_structure(scan_s6):
     for n in (2, 3, 4):
         for w in all_permutations(n):
             ws = enumerate_words(w)
-            bp = partition(ws, BRAID)
+            bp = Analysis(ws).partition(BRAID)
             for k in range(len(bp)):
                 assert verify_braid_class_graph(bp.class_words(k), w.length()), (
                     f"nonconforming braid class for {w.window}"

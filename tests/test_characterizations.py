@@ -1,48 +1,48 @@
 import pytest
 
 from redwords.characterizations import (
-    bound_status,
     catalan,
     count_lower,
     count_upper,
-    is_circuit_free,
     lower_pattern_from_words,
     lower_predicate_pattern,
     lower_template_windows,
     upper_predicate,
     word_matches_lower_template,
 )
-from redwords.classes import partition
 from redwords.coxeter_moves import BRAID, COMMUTATION
-from redwords.errors import WordCapExceeded
+from redwords.graphs import Analysis, analyse
 from redwords.permutation import all_permutations, from_window, identity, parse_window
 from redwords.reduced_words import enumerate_words, evaluate, parse_word
+from redwords.scan import verify_permutation
+
+
+def bounds_record(w):
+    """The bound fields of w's scan record; the bounds are theorems, so no violation."""
+    st = verify_permutation(w, checks=frozenset({"bounds"}))
+    assert st.violations == ()
+    return st
 
 
 def test_bound_status_examples():
-    st = bound_status(parse_window("[25314]"))
+    st = bounds_record(parse_window("[25314]"))
     assert (st.r, st.b, st.c) == (6, 4, 2)
     assert not st.achieves_lower and not st.achieves_upper
 
-    st = bound_status(parse_window("[3421]"))
+    st = bounds_record(parse_window("[3421]"))
     assert st.r == 5
     assert st.achieves_lower
 
     w = evaluate(parse_word("34532"), 6)
     assert w.window == (1, 5, 2, 4, 6, 3)
-    st = bound_status(w)
+    st = bounds_record(w)
     assert st.r == 6
     assert st.b + st.c - 1 == 5
     assert not st.achieves_lower
 
-    st = bound_status(identity(5))
+    st = bounds_record(identity(5))
     assert (st.r, st.b, st.c) == (1, 1, 1)
     assert st.achieves_lower and st.achieves_upper
-
-
-def test_bound_status_cap():
-    with pytest.raises(WordCapExceeded):
-        bound_status(parse_window("[25314]"), cap=3)
 
 
 def test_upper_predicate_examples():
@@ -61,10 +61,10 @@ def test_lower_predicate_examples():
 
 
 def test_is_circuit_free_examples():
-    assert is_circuit_free(parse_window("[3421]"))
-    assert not is_circuit_free(evaluate(parse_word("34532"), 6))
-    assert is_circuit_free(identity(4))
-    assert not is_circuit_free(parse_window("[25314]"))
+    assert analyse(parse_window("[3421]")).circuit_free
+    assert not analyse(evaluate(parse_word("34532"), 6)).circuit_free
+    assert analyse(identity(4)).circuit_free
+    assert not analyse(parse_window("[25314]")).circuit_free
 
 
 def test_word_template_matcher_spot_cases():
@@ -114,15 +114,16 @@ def test_template_window_families():
 def test_characterization_equivalences_exhaustive(n):
     for w in all_permutations(n):
         ws = enumerate_words(w)
-        b = len(partition(ws, BRAID))
-        c = len(partition(ws, COMMUTATION))
+        an = Analysis(ws)
+        b = len(an.partition(BRAID))
+        c = len(an.partition(COMMUTATION))
         r = len(ws)
         assert b + c - 1 <= r <= b * c
         upper = r == b * c
         lower = r == b + c - 1
         assert upper == (b == 1 or c == 1)
         assert upper == upper_predicate(w)
-        assert lower == is_circuit_free(w)
+        assert lower == an.circuit_free
         assert lower == lower_predicate_pattern(w)
         assert lower == lower_pattern_from_words(ws)
         if upper:
@@ -137,7 +138,7 @@ def test_characterization_equivalences_exhaustive(n):
 def test_achiever_counts_match_closed_forms(n):
     uppers = lowers = 0
     for w in all_permutations(n):
-        st = bound_status(w)
+        st = bounds_record(w)
         uppers += st.achieves_upper
         lowers += st.achieves_lower
     assert uppers == count_upper(n)

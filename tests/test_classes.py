@@ -6,13 +6,13 @@ import pytest
 from redwords.classes import (
     braid_class_shape,
     class_closure,
-    partition,
     partition_with_edges,
     path_product_edge_count,
     verify_braid_class_graph,
 )
 from redwords.coxeter_moves import BRAID, COMMUTATION, neighbors
 from redwords.errors import InvariantViolation
+from redwords.graphs import Analysis
 from redwords.permutation import all_permutations, identity, parse_window
 from redwords.reduced_words import (
     WordSet,
@@ -29,8 +29,9 @@ def words_of(ws):
 
 def test_partition_25314():
     ws = enumerate_words(parse_window("[25314]"))
-    cp = partition(ws, COMMUTATION)
-    bp = partition(ws, BRAID)
+    an = Analysis(ws)
+    cp = an.partition(COMMUTATION)
+    bp = an.partition(BRAID)
     assert words_of(cp.as_word_lists()) == [
         ["12432", "14232", "41232"],
         ["14323", "41323", "43123"],
@@ -46,7 +47,7 @@ def test_partition_25314():
 def test_partition_identity():
     ws = enumerate_words(identity(3))
     for kind in (BRAID, COMMUTATION):
-        part = partition(ws, kind)
+        part = Analysis(ws).partition(kind)
         assert len(part) == 1
         assert part.class_words(0) == [b""]
 
@@ -58,7 +59,7 @@ def test_partition_is_input_order_independent():
     random.Random(7).shuffle(shuffled)
     ws2 = WordSet(target=w, rows=letter_rows(sorted(shuffled)))
     for kind in (BRAID, COMMUTATION):
-        assert partition(ws, kind) == partition(ws2, kind)
+        assert Analysis(ws).partition(kind) == Analysis(ws2).partition(kind)
 
 
 def test_partition_classes_cover_word_set():
@@ -66,7 +67,7 @@ def test_partition_classes_cover_word_set():
         for w in all_permutations(n):
             ws = enumerate_words(w)
             for kind in (BRAID, COMMUTATION):
-                part = partition(ws, kind)
+                part = Analysis(ws).partition(kind)
                 seen = sorted(i for cls in part.classes for i in cls)
                 assert seen == list(range(len(ws)))
                 reps = [ws.words[cls[0]] for cls in part.classes]
@@ -153,7 +154,7 @@ def test_braid_cascades_break_the_path_product_model():
 def test_braid_classes_conform_fully_up_to_n4(n):
     for w in all_permutations(n):
         ws = enumerate_words(w)
-        bp = partition(ws, BRAID)
+        bp = Analysis(ws).partition(BRAID)
         for k in range(len(bp)):
             cls = bp.class_words(k)
             braid_class_shape(cls, w.length())
@@ -164,8 +165,9 @@ def test_braid_classes_conform_fully_up_to_n4(n):
 def test_braid_and_commutation_intersections_are_small(n):
     for w in all_permutations(n):
         ws = enumerate_words(w)
-        bp = partition(ws, BRAID)
-        cp = partition(ws, COMMUTATION)
+        an = Analysis(ws)
+        bp = an.partition(BRAID)
+        cp = an.partition(COMMUTATION)
         pairs = [(bp.class_of[k], cp.class_of[k]) for k in range(len(ws))]
         assert len(set(pairs)) == len(pairs)
 
@@ -173,16 +175,16 @@ def test_braid_and_commutation_intersections_are_small(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_single_class_characterizations(n):
     for w in all_permutations(n):
-        ws = enumerate_words(w)
-        assert (len(partition(ws, COMMUTATION)) == 1) == w.is_321_avoiding()
-        assert (len(partition(ws, BRAID)) == 1) == w.inversions_pairwise_share_letter()
+        an = Analysis(enumerate_words(w))
+        assert (len(an.partition(COMMUTATION)) == 1) == w.is_321_avoiding()
+        assert (len(an.partition(BRAID)) == 1) == w.inversions_pairwise_share_letter()
 
 
 def test_class_closure_matches_partition():
     w = parse_window("[25314]")
     ws = enumerate_words(w)
     for kind in (BRAID, COMMUTATION):
-        part = partition(ws, kind)
+        part = Analysis(ws).partition(kind)
         for k in range(len(part)):
             members = part.class_words(k)
             assert class_closure(members[0], kind) == members

@@ -300,6 +300,12 @@ def test_enumeration_free_paths_do_not_load_numpy():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert run(['interval', '[54321]']) == 0\n"
         "assert 'numpy' not in sys.modules, 'interval'\n"
+        "w0 = redwords.longest_element(5)\n"
+        "redwords.conjecture_predicate(w0)\n"
+        "redwords.lower_predicate_pattern(w0)\n"
+        "redwords.upper_predicate(w0)\n"
+        "for name in ('numpy', 'redwords.graphs'):\n"
+        "    assert name not in sys.modules, name + ' after the predicates'\n"
         "redwords.analyse\n"
         "assert 'numpy' in sys.modules, 'analyse'\n"
     )

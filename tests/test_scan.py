@@ -110,8 +110,10 @@ def _with_loop(moves):
 
 # [321] has the words 121 and 212: one braid class, two commutation classes.
 # [2143] has 13 and 31: two braid classes, one commutation class.  [23541]
-# has four words.  Merging or splitting their classes breaks the statements
-# that tie the two partitions to each other and to the window.
+# has four words.  [2431] has 1232, 1323 and 3123, the first two in one braid
+# class.  Merging or splitting their classes breaks the statements that tie
+# the two partitions to each other and to the window; a statement that is an
+# equivalence gets one case for each side that can fail alone.
 MERGED, SPLIT = (lambda i: i * 0), (lambda i: i)
 VIOLATIONS = [
     ("some braid and commutation class share 2 words",
@@ -127,15 +129,21 @@ VIOLATIONS = [
     ("bounds failed: b=1 c=1 r=2", "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
     ("c=1 but b != r", "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
     ("b=1 but c != r", "[2143]", [_doctored(BRAID, class_of=MERGED)]),
-    ("upper bound achieved but neither class count is 1",
+    ("r = b * c does not match b = 1 or c = 1",
      "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
+    ("r = b * c does not match b = 1 or c = 1", "[23541]", [
+        _doctored(BRAID, class_of=lambda i: i // 2),
+        _doctored(COMMUTATION, class_of=lambda i: i % 2),
+    ]),
     ("upper achiever does not match the window predicate",
      "[321]", [_negated("upper_predicate")]),
     ("321-avoidance does not match c = 1", "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
     ("pairwise-sharing inversions does not match b = 1",
      "[321]", [_doctored(BRAID, class_of=SPLIT)]),
-    ("lower bound achieved but Gamma(w) is not a tree",
+    ("r = b + c - 1 does not match Gamma(w) being a tree",
      "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
+    ("r = b + c - 1 does not match Gamma(w) being a tree",
+     "[2431]", [_doctored(COMMUTATION, class_of=lambda i: i // 2)]),
     ("lower achiever does not match the template predicate",
      "[321]", [_negated("lower_predicate_pattern")]),
     ("lower achiever does not match the word-level templates",
@@ -206,6 +214,43 @@ def test_scan_worker_determinism():
     one = scan(ScanOptions(n=4, workers=1)).jsonl()
     many = scan(ScanOptions(n=4, workers=3)).jsonl()
     assert one == many
+
+
+def test_scan_starts_at_most_one_worker_per_cpu(monkeypatch):
+    # A stand-in pool records its size and runs the work in this process,
+    # so no worker is ever forked here.
+    started, mapped = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            mapped.append(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(scan_module, "ProcessPoolExecutor", SerialPool)
+    expected = scan(ScanOptions(n=5, workers=1)).jsonl()
+    assert started == []
+
+    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 3)
+    assert scan(ScanOptions(n=5, workers=100_000)).jsonl() == expected
+    assert started == [3]
+    # The width pass, then the batches, sized for three workers: one
+    # permutation each, then two each.
+    assert mapped[0] == [5]
+    assert [len(batch) for batch in mapped[1][:6]] == [1, 1, 1, 2, 2, 2]
+
+    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: None)
+    assert scan(ScanOptions(n=5, workers=100_000)).jsonl() == expected
+    assert started == [3]
 
 
 @pytest.mark.parametrize("n,workers", [(4, 3), (6, 2), (8, 2)])

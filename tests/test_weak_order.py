@@ -3,9 +3,9 @@ import pytest
 from redwords.errors import WordCapExceeded
 from redwords.permutation import all_permutations, identity, longest_element, parse_window
 from redwords.reduced_words import enumerate_words, evaluate, parse_word
+from redwords.scan import verify_permutation
 from redwords.weak_order import (
     AGREE,
-    check_conjecture,
     conjecture_predicate,
     interval,
     interval_by_closure,
@@ -95,12 +95,12 @@ def test_conjecture_examples():
     assert conjecture_predicate(parse_window("[3421]"))  # width = support = 3
     assert not conjecture_predicate(evaluate(parse_word("34532"), 6))
     assert conjecture_predicate(identity(5))  # fully commutative
-    assert check_conjecture(parse_window("[3421]")) == AGREE
-    assert check_conjecture(evaluate(parse_word("34532"), 6)) == AGREE
-    assert check_conjecture(identity(3)) == AGREE
+    assert verify_permutation(parse_window("[3421]")).conjecture_status == AGREE
+    assert verify_permutation(evaluate(parse_word("34532"), 6)).conjecture_status == AGREE
+    assert verify_permutation(identity(3)).conjecture_status == AGREE
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_conjecture_agrees_exhaustively(n):
     for w in all_permutations(n):
-        assert check_conjecture(w) == AGREE
+        assert verify_permutation(w).conjecture_status == AGREE
