@@ -55,14 +55,14 @@ class Permutation:
         >>> from_window([3, 2, 1]).length()
         3
         """
-        return inversion_count(self.window)
+        return len(self.inversions)
 
     @cached_property
     def inversions(self) -> tuple[tuple[int, int], ...]:
         """The inversions of w as value pairs (w(i), w(j)) with i < j, w(i) > w(j).
 
-        Computed once per instance; equality, hashing and pickling read only
-        the window.
+        Computed once per instance, as are the two predicates below; equality,
+        hashing and pickling read only the window.
         """
         w = self.window
         return tuple((a, b) for i, a in enumerate(w) for b in w[i + 1:] if a > b)
@@ -110,6 +110,10 @@ class Permutation:
         >>> from_window([2, 5, 3, 1, 4]).is_321_avoiding()
         False
         """
+        return self._avoids_321
+
+    @cached_property
+    def _avoids_321(self) -> bool:
         larger = {c for c, _ in self.inversions}
         return larger.isdisjoint([b for _, b in self.inversions])
 
@@ -121,6 +125,10 @@ class Permutation:
         that pairwise intersect either all share one value or are the three
         sides of a triangle.
         """
+        return self._inversions_pairwise_meet
+
+    @cached_property
+    def _inversions_pairwise_meet(self) -> bool:
         inv = self.inversions
         if len(inv) <= 1 or set(inv[0]).intersection(*inv[1:]):
             return True

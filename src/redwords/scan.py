@@ -20,11 +20,11 @@ reports every nonconforming class; connectivity and bipartiteness of the
 classes themselves are still enforced.
 
 The weak-order columns never enumerate R(w).  ``support_size`` is read off
-the window.  For n <= WIDTH_PASS_MAX_N every ``width`` comes from one
-``interval_widths`` pass up the weak order, made once per scan, in a pool
-worker when there is a pool; that worker peaks at 51 MB for n = 8 and
-1.77 GB for n = 9.  For n = 10 each width comes from the permutation's own
-closure interval.
+the window.  Every ``width`` comes from one ``interval_widths`` pass over
+S_n, made once per scan, in a pool worker when there is a pool, while this
+process orders the permutations.  On 2 vCPUs the pass alone takes 0.5-0.6 s
+and 28 MB for n = 8, 6.1-7.2 s and 128 MB for n = 9, and 77-86 s and
+1.19 GB for n = 10.
 """
 
 from __future__ import annotations
@@ -68,15 +68,6 @@ SCHEMA_VERSION = 1
 CHECK_GROUPS = ("classes", "graphs", "bounds", "weak_order", "conjecture")
 _ENUMERATING = frozenset(("classes", "graphs", "bounds", "conjecture"))
 _NEED_WIDTH = frozenset(("weak_order", "conjecture"))
-
-# The largest n whose scan takes every interval width from one
-# weak_order.interval_widths pass instead of one closure per permutation.
-# The pass holds the bitsets of two adjacent ranks, one bit per permutation
-# of S_n.  The pool worker that runs it peaked at 51 MB for n = 8 (1.7 s)
-# and 1.77 GB for n = 9 (85 s) on 2 vCPUs; the bitsets of the two largest
-# ranks come to 0.03 and 1.70 GB, and for n = 10 they would come to 146 GB,
-# so there the scan keeps the closure.
-WIDTH_PASS_MAX_N = 9
 
 
 @dataclass(frozen=True)
@@ -125,15 +116,20 @@ class ScanRecord:
     violations: tuple[str, ...] = ()
 
     def to_json_obj(self) -> dict:
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
-        obj.update(schema=SCHEMA_VERSION, type="record")
-        return obj
+        """The record's JSON object, its keys already in canonical order."""
+        obj = {**vars(self), "schema": SCHEMA_VERSION, "type": "record"}
+        return {key: obj[key] for key in _RECORD_KEYS}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScanRecord":
         values = {f.name: obj[f.name] for f in fields(cls)}
         values.update(window=tuple(values["window"]), violations=tuple(values["violations"]))
         return cls(**values)
+
+
+_RECORD_KEYS = tuple(sorted([f.name for f in fields(ScanRecord)] + ["schema", "type"]))
+# Encodes a record object, whose keys are already sorted, as _canonical does.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,8 @@ class ScanReport:
         return obj
 
     def jsonl(self) -> str:
-        lines = [_canonical(rec.to_json_obj()) for rec in self.records]
+        encode = _COMPACT.encode
+        lines = [encode(rec.to_json_obj()) for rec in self.records]
         lines.append(_canonical(self.to_json_obj()))
         return "\n".join(lines) + "\n"
 
@@ -308,17 +305,23 @@ def _verify_batch(
     ]
 
 
-def _costliest_first(items: list[tuple], workers: int) -> list[list[tuple]]:
-    """Split the work into batches that hand the longest permutations out first.
+def _longest_first(windows: list[tuple[int, ...]], todo: list[int]) -> list[int]:
+    """The indices in ``todo`` of the windows, the longest permutations first.
 
     r(w) grows steeply with the length of w (w0 of S_6 alone is about a third
-    of the scan), so a long permutation left in a late chunk would end the run
-    on one worker while the others idle.  Sorting by length, longest first,
-    and starting with one permutation per batch lets the pool balance the
-    costly ones; the sizes then double, one batch per worker at each size, up
-    to 1/(8 * workers) of the permutations.
+    of the scan), so a long permutation left in a late batch would end the
+    run on one worker while the others idle.
     """
-    order = sorted(items, key=lambda item: -inversion_count(item[0]))
+    return sorted(todo, key=lambda k: -inversion_count(windows[k]))
+
+
+def _costliest_first(order: list[tuple], workers: int) -> list[list[tuple]]:
+    """Split work already in ``_longest_first`` order into batches.
+
+    Starting with one permutation per batch lets the pool balance the costly
+    ones; the sizes then double, one batch per worker at each size, up to
+    1/(8 * workers) of the permutations.
+    """
     cap = max(1, len(order) // (workers * 8))
     batches, start, size = [], 0, 1
     while start < len(order):
@@ -345,7 +348,6 @@ def scan(options: ScanOptions) -> ScanReport:
     if options.output_path:
         open(options.output_path + ".tmp", "w", encoding="utf-8").close()
     todo = [k for k, win in enumerate(windows) if win not in existing]
-    width_pass = bool(options.checks & _NEED_WIDTH) and n <= WIDTH_PASS_MAX_N
 
     # The pool forks all its workers at the first task, and workers beyond
     # the core count add memory but no speed, so at most one per core starts.
@@ -353,10 +355,13 @@ def scan(options: ScanOptions) -> ScanReport:
     pooled = workers > 1 and len(todo) > 1
     with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
         mapper = pool.map if pool else map
-        # With a pool the pass runs in a worker, so its bitsets never add to
-        # the peak of this process, which holds every record.
-        widths = next(mapper(interval_widths, [n])) if width_pass and todo else None
-        items = [(windows[k], None if widths is None else widths[k]) for k in todo]
+        # With a pool the pass runs in a worker, so its polynomials never add
+        # to the peak of this process, which holds every record; pool.map
+        # submits it at once, and this process sorts while it runs.
+        pending = mapper(interval_widths, [n]) if options.checks & _NEED_WIDTH and todo else None
+        order = _longest_first(windows, todo)
+        widths = next(pending) if pending else None
+        items = [(windows[k], None if widths is None else widths[k]) for k in order]
         verify = partial(_verify_batch, options.checks, options.word_cap)
         batches = _costliest_first(items, workers)
         computed = [rec for recs in mapper(verify, batches) for rec in recs]

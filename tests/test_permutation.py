@@ -121,6 +121,12 @@ def test_reading_inversions_keeps_equality_hash_and_pickle():
         assert pickle.dumps(read) == pickle.dumps(fresh)
         assert pickle.loads(pickle.dumps(read)) == fresh
         assert "inversions" not in vars(pickle.loads(pickle.dumps(read)))
+        # The cached predicates and length() add nothing to the pickle either.
+        read.is_321_avoiding()
+        read.inversions_pairwise_share_letter()
+        read.length()
+        assert pickle.dumps(read) == pickle.dumps(from_window(window))
+        assert vars(pickle.loads(pickle.dumps(read))) == {"window": window}
 
 
 def test_complement_and_inverse_are_length_preserving_involutions():

@@ -9,13 +9,14 @@ import redwords.graphs as graphs
 from redwords.classes import ClassPartition, IndexPairs
 from redwords.coxeter_moves import BRAID, COMMUTATION
 from redwords.errors import InvariantViolation
-from redwords.permutation import MAX_N, longest_element, parse_window
+from redwords.permutation import MAX_N, all_permutations, longest_element, parse_window
 from redwords.scan import (
     ScanOptions,
     ScanRecord,
     scan,
     verify_permutation,
 )
+from redwords.weak_order import interval_by_closure
 
 scan_module = importlib.import_module("redwords.scan")
 
@@ -258,7 +259,8 @@ def test_pool_batches_cover_every_permutation_longest_first(n, workers):
     from itertools import permutations
 
     args = [(win, (), 0) for win in permutations(range(1, n + 1))]
-    batches = scan_module._costliest_first(args, workers)
+    order = scan_module._longest_first([a[0] for a in args], range(len(args)))
+    batches = scan_module._costliest_first([args[k] for k in order], workers)
     flat = [a for batch in batches for a in batch]
     assert sorted(flat) == args
     lengths = [scan_module.Permutation(a[0]).length() for a in flat]
@@ -268,24 +270,18 @@ def test_pool_batches_cover_every_permutation_longest_first(n, workers):
     assert all(1 <= len(batch) <= max(1, cap) for batch in batches)
 
 
-def test_weak_order_scan_is_the_same_by_width_pass_and_by_closure(monkeypatch):
-    closures = []
-    real = scan_module.interval_by_closure
-
-    def counting(w):
-        closures.append(w)
-        return real(w)
-
-    monkeypatch.setattr(scan_module, "interval_by_closure", counting)
-    options = ScanOptions(n=6, checks=frozenset({"weak_order"}))
-    by_pass = scan(options).jsonl()
-    assert closures == []
-    monkeypatch.setattr(scan_module, "WIDTH_PASS_MAX_N", 5)
-    by_closure = scan(options).jsonl()
-    assert len(closures) == 720
-    assert by_closure == by_pass
-    monkeypatch.undo()
-    assert scan(ScanOptions(n=6, checks=options.checks, workers=2)).jsonl() == by_pass
+def test_weak_order_scan_is_the_same_by_width_pass_and_by_closure():
+    closure_widths = {
+        w.window: interval_by_closure(w).width for w in all_permutations(6)
+    }
+    outputs = []
+    for workers in (1, 2):
+        rep = scan(ScanOptions(n=6, checks=frozenset({"weak_order"}), workers=workers))
+        assert len(rep.records) == 720
+        for rec in rep.records:
+            assert rec.width == closure_widths[rec.window], rec.window
+        outputs.append(rep.jsonl())
+    assert outputs[0] == outputs[1]
 
 
 def test_scan_enumeration_free_mode_counts_exactly():

@@ -63,10 +63,14 @@ def test_support_is_word_independent(n):
         assert support(w) == letter_sets.pop()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_interval_widths_equal_closure_widths(n):
+    # Every window of S_n up to n = 7; every 97th window of S_8, and w0.
     widths = interval_widths(n)
-    assert widths == [interval_by_closure(w).width for w in all_permutations(n)]
+    perms = list(all_permutations(n))
+    assert len(widths) == len(perms)
+    sample = sorted({*range(0, len(perms), 97 if n == 8 else 1), len(perms) - 1})
+    assert [widths[k] for k in sample] == [interval_by_closure(perms[k]).width for k in sample]
 
 
 def _largest_mahonian_number(n):
