@@ -12,16 +12,17 @@ Both achiever families have exact enumerations per n, cross-checked here as
 ``count_upper`` and ``count_lower``.
 
 The template predicates come in two routes that are tested against each
-other: a window-level route that evaluates every template instance for the
-given n once and then answers by set membership (no enumeration of R(w)
-needed), and a word-level route that scans an explicit word set.
+other: a window-level route that generates the four raw shapes for the given
+n once, closes their permutations under reversal and complementation and
+then answers by set membership (no enumeration of R(w) needed), and a
+word-level route that recognises the raw shapes in an explicit word set.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .permutation import Permutation
 from .reduced_words import WordSet, evaluate
@@ -48,55 +49,36 @@ def upper_predicate(w: Permutation) -> bool:
     return False
 
 
-def _braid_core(i: int) -> tuple[int, ...]:
-    return (i, i + 1, i)
+def _raw_template_words(n: int) -> Iterator[tuple[int, ...]]:
+    """The four raw shapes that ``_raw_template_match`` recognises, in S_n.
 
-
-def _lower_template_words(n: int) -> list[tuple[int, ...]]:
-    """Every reduced-word template whose permutation achieves the lower bound
-    without having b = 1 or c = 1, instantiated for S_n.
-
-    The list covers all images under word reversal and letter complementation
-    explicitly, so no symmetry closure is needed afterwards (asserted in
-    tests).
+    Each is an ascending braid factor a(a+1)a, 2 <= a <= n-2, with (a-1, a)
+    after it; with a descending run a-1, ..., a-s after it; with a letter
+    a-1 on either side; or with an ascending run a-s, ..., a-1 before it and
+    an ascending run a+2, ..., a+1+t after it.
     """
-    words: list[tuple[int, ...]] = []
-    # A braid factor followed by (i-1, i), and its complement-image twin.
-    for i in range(2, n - 1):
-        words.append(_braid_core(i) + (i - 1, i))
-    for i in range(1, n - 2):
-        words.append(_braid_core(i) + (i + 2, i + 1))
-    # A braid factor against one monotone run, on either side.
-    for i in range(2, n - 1):
-        for t in range(i - 1):
-            run = tuple(range(i - 1, i - 2 - t, -1))  # i-1 down to i-1-t
-            words.append(_braid_core(i) + run)
-            words.append(run[::-1] + _braid_core(i))
-    for i in range(1, n - 2):
-        for t in range(n - 2 - i):
-            run = tuple(range(i + 2, i + 3 + t))  # i+2 up to i+2+t
-            words.append(_braid_core(i) + run)
-            words.append(run[::-1] + _braid_core(i))
-    # The pinched case (i-1) i(i+1)i (i-1).
-    for i in range(2, n - 1):
-        words.append((i - 1,) + _braid_core(i) + (i - 1,))
-    # Runs on both sides, ascending through the braid factor.
-    for i in range(2, n - 2):
-        for t in range(i - 1):
-            for tp in range(n - 2 - i):
-                prefix = tuple(range(i - 1 - t, i))  # i-1-t up to i-1
-                suffix = tuple(range(i + 2, i + 3 + tp))  # i+2 up to i+2+t'
-                words.append(prefix + _braid_core(i) + suffix)
-                words.append(suffix[::-1] + _braid_core(i) + prefix[::-1])
-    return words
+    for a in range(2, n - 1):
+        core = (a, a + 1, a)
+        yield core + (a - 1, a)
+        yield (a - 1,) + core + (a - 1,)
+        for s in range(1, a):
+            yield core + tuple(range(a - 1, a - 1 - s, -1))
+            for t in range(1, n - 1 - a):
+                yield tuple(range(a - s, a)) + core + tuple(range(a + 2, a + 2 + t))
 
 
 @lru_cache(maxsize=None)
 def lower_template_windows(n: int) -> frozenset[tuple[int, ...]]:
-    """Windows of all template permutations for S_n."""
+    """Windows of all template permutations for S_n.
+
+    The raw shapes, closed under word reversal (w -> w^-1) and letter
+    complementation (w -> w0 w w0), the symmetries the theorem allows.
+    """
     wins = set()
-    for word in _lower_template_words(n):
-        wins.add(evaluate(word, n).window)
+    for word in _raw_template_words(n):
+        w = evaluate(word, n)
+        for v in (w, w.inverse()):
+            wins.update((v.window, v.complement().window))
     return frozenset(wins)
 
 

@@ -315,6 +315,17 @@ def _cmd_graph(args) -> int:
     return 0
 
 
+# The text lines of `check`, in order, as (label, ScanRecord field).
+_CHECK_FIELDS = tuple(
+    (field, field)
+    for field in (
+        "length", "r", "b", "c", "achieves_upper", "achieves_lower",
+        "circuit_free", "fully_commutative", "single_braid_class",
+        "upper_predicate", "lower_predicate", "width", "support_size",
+    )
+) + (("conjecture", "conjecture_status"),)
+
+
 def _cmd_check(args) -> int:
     from .reduced_words import count_words
     from .scan import verify_permutation
@@ -327,20 +338,8 @@ def _cmd_check(args) -> int:
         print(_canonical(record.to_json_obj()))
     else:
         print(f"window: {window_text(w)}")
-        print(f"length: {record.length}")
-        print(f"r: {record.r}")
-        print(f"b: {record.b}")
-        print(f"c: {record.c}")
-        print(f"achieves_upper: {record.achieves_upper}")
-        print(f"achieves_lower: {record.achieves_lower}")
-        print(f"circuit_free: {record.circuit_free}")
-        print(f"fully_commutative: {record.fully_commutative}")
-        print(f"single_braid_class: {record.single_braid_class}")
-        print(f"upper_predicate: {record.upper_predicate}")
-        print(f"lower_predicate: {record.lower_predicate}")
-        print(f"width: {record.width}")
-        print(f"support_size: {record.support_size}")
-        print(f"conjecture: {record.conjecture_status}")
+        for label, field in _CHECK_FIELDS:
+            print(f"{label}: {getattr(record, field)}")
     if record.violations:
         raise InvariantViolation("; ".join(record.violations))
     return 0

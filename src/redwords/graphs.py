@@ -24,6 +24,7 @@ from .classes import (
     IndexPairs,
     braid_class_shape,
     components,
+    move_edges,
     odd_components,
     partition_with_edges,
     path_product_edge_count,
@@ -183,21 +184,18 @@ def jump_property(
 class Analysis:
     """One permutation's R(w), read by every caller that needs more than words.
 
-    Each partition, together with the move edges that induce it, is built
-    the first time it is asked for, so a caller pays only for what it reads.
-    The pair set holds the distinct (braid class, commutation class) pairs
-    of the words: the edges of Gamma(w) and the filled cells of T(w).
+    Each partition and each kind's move edges are built the first time they
+    are asked for, so a caller pays only for what it reads: a partition keeps
+    the move edges that induced it, and edges asked for first are found
+    without labelling their components.  The pair set holds the distinct
+    (braid class, commutation class) pairs of the words: the edges of
+    Gamma(w) and the filled cells of T(w).
     """
 
     def __init__(self, word_set: WordSet):
         self.word_set = word_set
-        self._built: dict[str, tuple[ClassPartition, IndexPairs]] = {}
-
-    def _partition_with_edges(self, kind: str):
-        got = self._built.get(kind)
-        if got is None:
-            got = self._built[kind] = partition_with_edges(self.word_set, kind)
-        return got
+        self._partitions: dict[str, ClassPartition] = {}
+        self._edges: dict[str, IndexPairs] = {}
 
     def partition(self, kind: str) -> ClassPartition:
         """B(w) for kind="braid", C(w) for kind="commutation".
@@ -208,11 +206,18 @@ class Analysis:
         >>> [[word_text(u) for u in cls] for cls in part.as_word_lists()]
         [['12432', '14232', '41232'], ['14323', '41323', '43123']]
         """
-        return self._partition_with_edges(kind)[0]
+        got = self._partitions.get(kind)
+        if got is None:
+            got, self._edges[kind] = partition_with_edges(self.word_set, kind)
+            self._partitions[kind] = got
+        return got
 
     def edges(self, kind: str) -> IndexPairs:
         """Move edges of one kind as (k, v) word-index pairs with k < v."""
-        return self._partition_with_edges(kind)[1]
+        got = self._edges.get(kind)
+        if got is None:
+            got = self._edges[kind] = move_edges(self.word_set.rows, kind)
+        return got
 
     @cached_property
     def pairs(self) -> IndexPairs:

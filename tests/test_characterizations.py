@@ -1,6 +1,7 @@
 import pytest
 
 from redwords.characterizations import (
+    _raw_template_words,
     catalan,
     count_lower,
     count_upper,
@@ -95,7 +96,7 @@ def test_counts_closed_forms():
 def test_template_window_families():
     # The per-family tallies behind the lower-bound count: the family list
     # must be symmetry-closed and duplicate-free.
-    for n in range(3, 9):
+    for n in range(3, 11):
         wins = lower_template_windows(n)
         expected = (
             2 * (n - 3) * (n - 1) + max(0, n - 3)
@@ -108,6 +109,18 @@ def test_template_window_families():
             assert w.complement().window in wins
             assert not w.is_321_avoiding()
             assert not w.inversions_pairwise_share_letter()
+
+
+def test_template_windows_satisfy_the_word_route():
+    # The window route generates the raw shapes that the word route
+    # recognises; this carries window route => word route past the
+    # exhaustive sweep, to S_7 and S_8.
+    for n in range(1, 11):
+        for word in _raw_template_words(n):
+            assert word_matches_lower_template(word, n), (n, word)
+    for n in (7, 8):
+        for win in lower_template_windows(n):
+            assert lower_pattern_from_words(enumerate_words(from_window(win))), win
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -332,6 +332,10 @@ def test_words_json_spans_several_batches(cli):
 # lexicographic window order, as released before the views were rebuilt on
 # the Analysis; any change to a class list, a table or a graph shows here.
 PINNED_S4_VIEW_SHA256 = {
+    "check --format text":
+        "ffd97fc69dd1508a3a79adbb5ff1d8d29b59f3a21ce91c4225e6f968db6c2c8e",
+    "check --format json":
+        "18396a2ebae47a0502280259a4c43941fc7843acf723130a308398063381b3f0",
     "classes --kind braid --format text":
         "57ce97065508c0cead47a9f7a21c5483bb1f241677c1df1c84036f45b0dee571",
     "classes --kind braid --format json":

@@ -219,6 +219,25 @@ def test_class_graphs_from_the_analysis_match_contraction():
                 assert an.class_graph(kind) == contract(g, kind)
 
 
+def test_views_partition_only_the_kinds_they_read(monkeypatch):
+    # G(w) reads only move edges, and G_c(w) only the commutation classes
+    # with the braid edges between them.
+    import redwords.graphs as graphs
+
+    real, calls = graphs.partition_with_edges, []
+
+    def counting(word_set, kind):
+        calls.append(kind)
+        return real(word_set, kind)
+
+    monkeypatch.setattr(graphs, "partition_with_edges", counting)
+    an = analyse(parse_window("[25314]"))
+    build_word_graph(an)
+    assert calls == []
+    an.class_graph(COMMUTATION)
+    assert calls == [COMMUTATION]
+
+
 def test_a_commutation_move_inside_a_braid_class_fails_the_gb_check(monkeypatch):
     # [2143] has the words 13 and 31, one commutation move apart, each its own
     # braid class.  Put both in one braid class: the move becomes a loop of G_b.
