@@ -13,7 +13,6 @@ labelling ``components`` and the odd-cycle test ``odd_components``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence, Sized
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .coxeter_moves import BRAID, COMMUTATION, neighbors
 from .errors import InvariantViolation
+from .permutation import lazy
 from .reduced_words import Word, WordSet, letter_rows, row_keys
 
 
@@ -156,7 +156,7 @@ class ClassPartition:
         self.word_set = word_set
         self.class_of = class_of  # word index -> class id, an integer array
 
-    @cached_property
+    @lazy
     def sizes(self):
         """Class id -> number of words, an integer array."""
         return np.bincount(self.class_of)
@@ -173,21 +173,31 @@ class ClassPartition:
             and np.array_equal(self.class_of, other.class_of)
         )
 
-    @cached_property
+    @lazy
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Class id -> sorted word indices."""
-        order = np.argsort(self.class_of, kind="stable").tolist()
+        return tuple(map(tuple, self.grouped(range(len(self.class_of)))))
+
+    def grouped(self, values: Sequence) -> list[list]:
+        """Class id -> the list of ``values[i]`` over its word indices i, in order.
+
+        The values are put in class order by one numpy take on an object
+        array, so the reordering makes no Python int per word.  Made and
+        freed between the values, a word set's worth of ints leaves the
+        small-object heap fragmented: a process answering one request after
+        another then keeps more memory.
+        """
+        order = np.argsort(self.class_of, kind="stable")
+        ordered = np.array(values, dtype=object)[order].tolist()
         ends = np.cumsum(self.sizes).tolist()
-        return tuple(
-            tuple(order[end - size : end]) for size, end in zip(self.sizes.tolist(), ends)
-        )
+        return [ordered[end - size : end] for size, end in zip(self.sizes.tolist(), ends)]
 
     def class_words(self, k: int) -> list[Word]:
         words = self.word_set.words
         return [words[i] for i in self.classes[k]]
 
     def as_word_lists(self) -> list[list[Word]]:
-        return [self.class_words(k) for k in range(len(self))]
+        return self.grouped(self.word_set.words)
 
 
 def partition_with_edges(word_set: WordSet, kind: str) -> tuple[ClassPartition, IndexPairs]:

@@ -175,13 +175,13 @@ def _emit_json_around(obj: dict, key: str, write_value) -> None:
     sys.stdout.write(tail + "\n")
 
 
-def _write_json_list(items: Iterable) -> None:
-    """Write the JSON array ``_canonical(list(items))``, 1,024 items at a time."""
+def _write_json_array(items: Iterable[str]) -> None:
+    """Write the JSON array of items that are each already JSON text, 1,024 at a time."""
     sys.stdout.write("[")
     items = iter(items)
     sep = ""
     while chunk := list(islice(items, 1024)):
-        sys.stdout.write(sep + _canonical(chunk)[1:-1])
+        sys.stdout.write(sep + ",".join(chunk))
         sep = ","
     sys.stdout.write("]")
 
@@ -237,18 +237,19 @@ def _cmd_classes(args) -> int:
     from .graphs import analyse
 
     w = parse_window(args.window)
-    part = analyse(w, cap=args.cap).partition(args.kind)
+    an = analyse(w, cap=args.cap)
+    classes = an.partition(args.kind).grouped(an.word_set.texts)
     label = "B" if args.kind == BRAID else "C"
     if args.format == "json":
         print(_canonical({
             "schema": SCHEMA,
             "window": list(w.window),
             "kind": args.kind,
-            "classes": [[word_text(u) for u in cls] for cls in part.as_word_lists()],
+            "classes": classes,
         }))
     else:
-        for k, cls in enumerate(part.as_word_lists(), 1):
-            print(f"{label}{k}: " + " ".join(word_text(u) for u in cls))
+        for k, cls in enumerate(classes, 1):
+            print(f"{label}{k}: " + " ".join(cls))
     return 0
 
 
@@ -265,7 +266,9 @@ def _cmd_table(args) -> int:
             "rows": table.rows,
             "cols": table.cols,
             "jump_property": an.gamma_connected,
-        }, "cells", lambda: _write_json_list(table.iter_rows()))
+        }, "cells", lambda: _write_json_array(
+            "[" + ",".join(row) + "]" for row in table.iter_rows(empty="null", quote='"')
+        ))
         return 0
     grid = table.to_rows()
     if args.format == "csv":
@@ -295,21 +298,17 @@ def _cmd_graph(args) -> int:
         g = an.class_graph(COMMUTATION if args.which == "gc" else BRAID)
     style = "word" if args.which == "word" else "class"
     if args.format == "json":
-        print(_canonical({
+        # Kinds and word texts are plain ASCII that JSON needs no escape for.
+        _emit_json_around({
             "schema": SCHEMA,
             "window": list(w.window),
             "which": args.which,
             "vertices": list(g.labels),
-            "edges": [
-                {
-                    "u": e.u,
-                    "v": e.v,
-                    "kind": e.kind,
-                    "word": word_text(e.word) if e.word is not None else None,
-                }
-                for e in g.edges
-            ],
-        }))
+        }, "edges", lambda: _write_json_array(
+            '{"kind":"%s","u":%d,"v":%d,"word":%s}'
+            % (e.kind, e.u, e.v, "null" if e.word is None else f'"{word_text(e.word)}"')
+            for e in g.edges
+        ))
     else:
         sys.stdout.write(export_dot(g, style=style))
     return 0

@@ -14,7 +14,6 @@ CLI and the views G(w), Gamma(w) and T(w) read from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -31,7 +30,7 @@ from .classes import (
 )
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation
-from .permutation import Permutation
+from .permutation import Permutation, lazy
 from .reduced_words import DEFAULT_WORD_CAP, Word, WordSet, enumerate_words, word_text
 
 INCIDENCE = "incidence"
@@ -69,7 +68,7 @@ def build_word_graph(an: Analysis) -> LabeledGraph:
         found = an.edges(kind)  # by position, then by word
         by_word = np.argsort(found.u, kind="stable")
         edges += (Edge(u, v, kind) for u, v in IndexPairs(found.u[by_word], found.v[by_word]))
-    return LabeledGraph(labels=tuple(word_text(u) for u in an.word_set.words), edges=tuple(edges))
+    return LabeledGraph(labels=tuple(an.word_set.texts), edges=tuple(edges))
 
 
 def contract(g: LabeledGraph, kind: str) -> LabeledGraph:
@@ -115,8 +114,9 @@ def build_gamma(an: Analysis) -> LabeledGraph:
     labels = tuple(f"B{k + 1}" for k in range(b)) + tuple(
         f"C{k + 1}" for k in range(table.cols)
     )
+    words = an.word_set.words
     edges = tuple(
-        Edge(bi, b + ci, INCIDENCE, word) for (bi, ci), word in sorted(table.cells.items())
+        Edge(bi, b + ci, INCIDENCE, words[i]) for (bi, ci), i in sorted(table.cells.items())
     )
     return LabeledGraph(labels=labels, edges=edges)
 
@@ -125,24 +125,30 @@ def build_gamma(an: Analysis) -> LabeledGraph:
 class IntersectionTable:
     """Rows are braid classes, columns are commutation classes.
 
-    Cells are stored sparsely; each holds the unique word in the row class
-    intersected with the column class, when that intersection is nonempty.
+    Cells are stored sparsely, in row-major order; each holds the index in
+    ``word_set`` of the unique word in the row class intersected with the
+    column class, when that intersection is nonempty.
     """
 
     rows: int
     cols: int
-    cells: dict[tuple[int, int], Word]
+    cells: dict[tuple[int, int], int]
+    word_set: WordSet
 
-    def iter_rows(self) -> Iterator[list[str | None]]:
-        """Dense rows in order, word text or None for empty cells, one at a time."""
-        by_row: list[list[tuple[int, Word]]] = [[] for _ in range(self.rows)]
-        for (r, c), word in self.cells.items():
-            by_row[r].append((c, word))
-        for filled in by_row:
-            row: list[str | None] = [None] * self.cols
-            for c, word in filled:
-                row[c] = word_text(word)
+    def iter_rows(self, empty: str | None = None, quote: str = "") -> Iterator[list[str | None]]:
+        """Dense rows in order, one at a time: each filled cell holds its word's
+        text between two ``quote`` strings, and each empty cell ``empty``."""
+        texts, cells = self.word_set.texts, self.cells
+        row, at = [empty] * self.cols, 0
+        for key in sorted(cells):  # one pass when the cells are in row-major order
+            r, c = key
+            while at < r:
+                yield row
+                row, at = [empty] * self.cols, at + 1
+            row[c] = quote + texts[cells[key]] + quote
+        for _ in range(at, self.rows):
             yield row
+            row = [empty] * self.cols
 
     def to_rows(self) -> list[list[str | None]]:
         """Dense row-major layout with word text, None for empty cells."""
@@ -152,14 +158,21 @@ class IntersectionTable:
 def build_table(an: Analysis) -> IntersectionTable:
     """The intersection table T(w) with exactly |R(w)| filled cells."""
     bp, cp = an.partition(BRAID), an.partition(COMMUTATION)
-    cells: dict[tuple[int, int], Word] = {}
-    for u, key in zip(an.word_set.words, zip(bp.class_of.tolist(), cp.class_of.tolist())):
-        if key in cells:
-            raise InvariantViolation(
-                f"cell {key} would hold both {word_text(cells[key])} and {word_text(u)}"
-            )
-        cells[key] = u
-    return IntersectionTable(rows=len(bp), cols=len(cp), cells=cells)
+    ws, cols = an.word_set, len(cp)
+    keys = bp.class_of * cols + cp.class_of
+    order = np.argsort(keys, kind="stable")  # row-major, then by word
+    keys = keys[order]
+    same = keys[1:] == keys[:-1]
+    if same.any():
+        # The first word, in word order, whose cell is already taken.
+        j = np.flatnonzero(same)[np.argmin(order[1:][same])]
+        raise InvariantViolation(
+            f"cell {divmod(int(keys[j]), cols)} would hold both "
+            f"{ws.texts[order[j]]} and {ws.texts[order[j + 1]]}"
+        )
+    row, col = np.divmod(keys, cols)
+    cells = dict(zip(zip(row.tolist(), col.tolist()), order.tolist()))
+    return IntersectionTable(rows=len(bp), cols=cols, cells=cells, word_set=ws)
 
 
 def jump_property(
@@ -219,7 +232,7 @@ class Analysis:
             got = self._edges[kind] = move_edges(self.word_set.rows, kind)
         return got
 
-    @cached_property
+    @lazy
     def pairs(self) -> IndexPairs:
         bp, cp = self.partition(BRAID), self.partition(COMMUTATION)
         return _distinct_pairs(bp.class_of, cp.class_of)
@@ -286,7 +299,7 @@ class Analysis:
         class_of = self.partition(BRAID).class_of
         return class_of[odd_components(len(class_of), self.edges(BRAID))].tolist()
 
-    @cached_property
+    @lazy
     def gamma_connected(self) -> bool:
         """Gamma(w) is connected, which is also G(w) connected: within a class
         the words are joined by that class's own moves."""

@@ -14,7 +14,6 @@ s_i swaps the entries in window positions i and i+1 for 1 <= i <= n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations
 from typing import Iterator, Sequence
 
@@ -22,6 +21,48 @@ from typing import Iterator, Sequence
 # group is almost certainly a configuration mistake rather than a real
 # request.  Raise this deliberately if you know what you are doing.
 MAX_N = 10
+
+
+class lazy:  # noqa: N801 - used as a decorator, like property
+    """An attribute computed on its first read and then stored, without a lock.
+
+    It does what ``functools.cached_property`` does, except that on Python
+    3.10 and 3.11 that descriptor takes a lock on every first read, which
+    about doubles the cost of reading a cheap attribute once.  Every value
+    cached with it is a pure function of its instance, so two threads that
+    both compute it store equal values.
+
+    The value goes into the instance ``__dict__``, where later reads find it
+    before the descriptor, so equality, hashing and pickling that read only
+    the declared fields are unchanged.  It lives in this module, which every
+    other one imports, so that it costs no import of its own.
+
+    >>> class Square:
+    ...     def __init__(self, x):
+    ...         self.x = x
+    ...     @lazy
+    ...     def value(self):
+    ...         print("computing")
+    ...         return self.x * self.x
+    >>> s = Square(3)
+    >>> (s.value, s.value)
+    computing
+    (9, 9)
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -57,7 +98,7 @@ class Permutation:
         """
         return len(self.inversions)
 
-    @cached_property
+    @lazy
     def inversions(self) -> tuple[tuple[int, int], ...]:
         """The inversions of w as value pairs (w(i), w(j)) with i < j, w(i) > w(j).
 
@@ -112,7 +153,7 @@ class Permutation:
         """
         return self._avoids_321
 
-    @cached_property
+    @lazy
     def _avoids_321(self) -> bool:
         larger = {c for c, _ in self.inversions}
         return larger.isdisjoint([b for _, b in self.inversions])
@@ -127,7 +168,7 @@ class Permutation:
         """
         return self._inversions_pairwise_meet
 
-    @cached_property
+    @lazy
     def _inversions_pairwise_meet(self) -> bool:
         inv = self.inversions
         if len(inv) <= 1 or set(inv[0]).intersection(*inv[1:]):

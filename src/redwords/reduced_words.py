@@ -19,11 +19,10 @@ checked against the independent count recursion.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Sequence
 
 from .errors import WordCapExceeded
-from .permutation import Permutation
+from .permutation import Permutation, lazy
 
 Word = bytes
 
@@ -55,7 +54,8 @@ class WordSet:
     """The complete R(target), sorted lexicographically and duplicate-free.
 
     ``rows`` is the (r, l) ``uint8`` letter matrix.  ``words`` is the same
-    list as a tuple of ``bytes``, decoded on first use.
+    list as a tuple of ``bytes``, and ``texts`` as the list of their
+    ``word_text``; each is decoded on first use.
     """
 
     def __init__(self, target: Permutation, rows):
@@ -72,11 +72,36 @@ class WordSet:
 
         return self.target == other.target and np.array_equal(self.rows, other.rows)
 
-    @cached_property
+    @lazy
     def words(self) -> tuple[Word, ...]:
         if self.rows.shape[1] == 0:
             return (b"",) * len(self.rows)
         return tuple(row_keys(self.rows).tolist())
+
+    @lazy
+    def texts(self) -> list[str]:
+        """``word_text(u)`` for every word u, in order.
+
+        Rendered from the letter matrix in one pass: each letter becomes its
+        ASCII digit, each row ends in a newline, and the decoded whole is
+        split at the newlines.
+
+        >>> from .permutation import from_window
+        >>> enumerate_words(from_window([2, 5, 3, 1, 4])).texts[:3]
+        ['12432', '14232', '14323']
+        """
+        import numpy as np
+
+        rows = self.rows
+        r, length = rows.shape
+        if length == 0:
+            return ["e"] * r
+        if rows.max() > 9:  # needs the comma form; not reached while MAX_N <= 10
+            return [word_text(u) for u in self.words]
+        text = np.empty((r, length + 1), dtype=np.uint8)
+        np.add(rows, ord("0"), out=text[:, :length])
+        text[:, length] = ord("\n")
+        return str(text.ravel().data[:-1], "ascii").split("\n")
 
 
 def letter_rows(words: Sequence[Sequence[int]]):
@@ -188,13 +213,19 @@ def enumerate_words(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> WordS
 def word_text(word: Sequence[int]) -> str:
     """Digit-string form for letters up to 9, comma-separated otherwise.
 
-    The empty word prints as "e".
+    The empty word prints as "e".  Letters are bytes, 0..255, as in a
+    ``Word``.  ``WordSet.texts`` renders a whole word set at once.
     """
     if len(word) == 0:
         return "e"
-    if max(word) <= 9:
-        return "".join(str(a) for a in word)
+    text = bytes(word).translate(_DIGIT_OF)
+    if text.isdigit():
+        return text.decode("ascii")
     return ",".join(str(a) for a in word)
+
+
+# Byte 0..9 -> its ASCII digit; every larger byte -> "," which is no digit.
+_DIGIT_OF = bytes(b"0123456789" + b"," * 246)
 
 
 def parse_word(text: str) -> Word:

@@ -141,6 +141,35 @@ def test_table_25314():
     assert jump_property(table.rows, table.cols, table.cells)
 
 
+@pytest.mark.parametrize(
+    "braid_class_of, message",
+    [
+        # [25314] has the commutation classes 0 0 1 0 1 1 in word order.
+        ([0, 0, 0, 0, 0, 0], "cell (0, 0) would hold both 12432 and 14232"),
+        # The first word, in word order, whose cell is taken is 41232.
+        ([1, 0, 0, 1, 0, 1], "cell (1, 0) would hold both 12432 and 41232"),
+    ],
+)
+def test_table_reports_a_cell_holding_two_words(monkeypatch, braid_class_of, message):
+    import numpy as np
+
+    import redwords.graphs as graphs
+    from redwords.errors import InvariantViolation
+
+    real = graphs.partition_with_edges
+
+    def forged_braid_classes(word_set, kind):
+        part, edges = real(word_set, kind)
+        if kind == BRAID:
+            part = ClassPartition(BRAID, word_set, np.array(braid_class_of))
+        return part, edges
+
+    monkeypatch.setattr(graphs, "partition_with_edges", forged_braid_classes)
+    with pytest.raises(InvariantViolation) as excinfo:
+        build_table(analyse(parse_window("[25314]")))
+    assert str(excinfo.value) == message
+
+
 def test_table_trivial_cases():
     table = build_table(analyse(identity(3)))
     assert (table.rows, table.cols) == (1, 1)

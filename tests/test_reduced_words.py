@@ -10,6 +10,7 @@ from redwords.reduced_words import (
     enumerate_words,
     evaluate,
     is_reduced,
+    letter_rows,
     parse_word,
     word_text,
 )
@@ -151,6 +152,31 @@ def test_word_text_forms():
         parse_word("1x2")
     with pytest.raises(ValueError):
         parse_word("102")  # a zero letter
+
+
+def test_word_text_matches_the_joined_letters():
+    def reference(word):
+        if len(word) == 0:
+            return "e"
+        return ("" if max(word) <= 9 else ",").join(str(a) for a in word)
+
+    words = [b"\x05", bytes(range(1, 10)), bytes((9, 10)), bytes((0, 3)), bytes((255, 1)),
+             [1, 2, 12], (3, 1)]
+    for u in words:
+        assert word_text(u) == reference(u), u
+    assert word_text(letter_rows([b"\x01\x02\x01"])[0]) == "121"
+
+
+def test_texts_match_word_text():
+    # The letter-matrix rendering against the one-word form on all of S_1..S_6.
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            ws = enumerate_words(w)
+            assert ws.texts == [word_text(u) for u in ws.words], w.window
+    assert enumerate_words(identity(4)).texts == ["e"]
+    # A letter above 9 takes the comma form, which the digit rendering lacks.
+    ws = WordSet(identity(1), letter_rows([bytes((1, 2, 3)), bytes((10, 9, 10))]))
+    assert ws.texts == ["123", "10,9,10"]
 
 
 def test_word_set_is_sorted_and_typed():
