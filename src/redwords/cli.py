@@ -16,14 +16,14 @@ import argparse
 import functools
 import sys
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .characterizations import catalan, count_lower, count_upper
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation, WordCapExceeded
 from .permutation import Permutation, parse_window, window_text
-from .reduced_words import DEFAULT_WORD_CAP, enumerate_words, word_text
+from .reduced_words import DEFAULT_WORD_CAP, enumerate_words
 from .scan import CHECK_GROUPS, ScanOptions, _canonical, scan
 from .weak_order import AGREE, interval_by_closure
 
@@ -175,45 +175,23 @@ def _emit_json_around(obj: dict, key: str, write_value) -> None:
     sys.stdout.write(tail + "\n")
 
 
-def _write_json_array(items: Iterable[str]) -> None:
-    """Write the JSON array of items that are each already JSON text, 1,024 at a time."""
+def _write_json_array(chunks: Iterable[str]) -> None:
+    """Write the JSON array whose items come as chunks of comma-joined JSON
+    text, one chunk at a time, so that the array is never held whole."""
     sys.stdout.write("[")
-    items = iter(items)
     sep = ""
-    while chunk := list(islice(items, 1024)):
-        sys.stdout.write(sep + ",".join(chunk))
+    for chunk in chunks:
+        sys.stdout.write(sep)
+        sys.stdout.write(chunk)
         sep = ","
     sys.stdout.write("]")
 
 
-def _write_json_word_list(ws) -> None:
-    """Write the JSON array of word_text(u) for the words of ``ws``.
-
-    It is rendered straight from the letter matrix, one column at a time, so
-    no str or bytes object is made per word (letters are single digits, as
-    n <= 10).  The text is made ``batch`` words at a time: a buffer as large as
-    the whole list, once freed, would make the C allocator keep later
-    allocations of that size on its heap instead of returning them.
-    """
-    import numpy as np
-
-    rows = ws.rows
-    r, length = rows.shape
-    if length == 0:
-        sys.stdout.write('["e"]')
-        return
-    batch = 1 << 14
-    sys.stdout.write("[")
-    for start in range(0, r, batch):
-        part = rows[start : start + batch]
-        text = np.empty((len(part), length + 3), dtype=np.uint8)
-        text[:, 0] = ord(",")
-        text[:, 1] = text[:, length + 2] = ord('"')
-        for j in range(length):
-            np.add(part[:, j], ord("0"), out=text[:, j + 2])
-        chars = text.ravel().data
-        sys.stdout.write(str(chars[1:] if start == 0 else chars, "ascii"))
-    sys.stdout.write("]")
+def _comma_joined(items: Iterable[str]) -> Iterator[str]:
+    """Items that are each JSON text, comma-joined 1,024 at a time."""
+    items = iter(items)
+    while chunk := list(islice(items, 1024)):
+        yield ",".join(chunk)
 
 
 def _cmd_words(args) -> int:
@@ -226,10 +204,10 @@ def _cmd_words(args) -> int:
             "n": w.n,
             "length": w.length(),
             "count": len(ws),
-        }, "words", lambda: _write_json_word_list(ws))
+        }, "words", lambda: _write_json_array(ws.text_chunks(",", '"')))
     else:
-        for u in ws.words:
-            print(word_text(u))
+        for chunk in ws.text_chunks("\n", ""):
+            sys.stdout.write(chunk + "\n")
     return 0
 
 
@@ -266,9 +244,9 @@ def _cmd_table(args) -> int:
             "rows": table.rows,
             "cols": table.cols,
             "jump_property": an.gamma_connected,
-        }, "cells", lambda: _write_json_array(
+        }, "cells", lambda: _write_json_array(_comma_joined(
             "[" + ",".join(row) + "]" for row in table.iter_rows(empty="null", quote='"')
-        ))
+        )))
         return 0
     grid = table.to_rows()
     if args.format == "csv":
@@ -304,11 +282,11 @@ def _cmd_graph(args) -> int:
             "window": list(w.window),
             "which": args.which,
             "vertices": list(g.labels),
-        }, "edges", lambda: _write_json_array(
+        }, "edges", lambda: _write_json_array(_comma_joined(
             '{"kind":"%s","u":%d,"v":%d,"word":%s}'
-            % (e.kind, e.u, e.v, "null" if e.word is None else f'"{word_text(e.word)}"')
+            % (e.kind, e.u, e.v, "null" if e.word is None else f'"{e.word}"')
             for e in g.edges
-        ))
+        )))
     else:
         sys.stdout.write(export_dot(g, style=style))
     return 0

@@ -31,7 +31,7 @@ from .classes import (
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation
 from .permutation import Permutation, lazy
-from .reduced_words import DEFAULT_WORD_CAP, Word, WordSet, enumerate_words, word_text
+from .reduced_words import DEFAULT_WORD_CAP, WordSet, enumerate_words
 
 INCIDENCE = "incidence"
 
@@ -40,7 +40,7 @@ class Edge(NamedTuple):
     u: int
     v: int
     kind: str
-    word: Word | None = None  # witness for incidence edges
+    word: str | None = None  # witness text for incidence edges
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,9 @@ def build_gamma(an: Analysis) -> LabeledGraph:
     labels = tuple(f"B{k + 1}" for k in range(b)) + tuple(
         f"C{k + 1}" for k in range(table.cols)
     )
-    words = an.word_set.words
+    texts = an.word_set.texts
     edges = tuple(
-        Edge(bi, b + ci, INCIDENCE, words[i]) for (bi, ci), i in sorted(table.cells.items())
+        Edge(bi, b + ci, INCIDENCE, texts[i]) for (bi, ci), i in sorted(table.cells.items())
     )
     return LabeledGraph(labels=labels, edges=edges)
 
@@ -215,8 +215,7 @@ class Analysis:
 
         >>> from .permutation import from_window
         >>> ws = enumerate_words(from_window([2, 5, 3, 1, 4]))
-        >>> part = Analysis(ws).partition("commutation")
-        >>> [[word_text(u) for u in cls] for cls in part.as_word_lists()]
+        >>> Analysis(ws).partition("commutation").grouped(ws.texts)
         [['12432', '14232', '41232'], ['14323', '41323', '43123']]
         """
         got = self._partitions.get(kind)
@@ -353,7 +352,7 @@ def export_dot(g: LabeledGraph, style: str = "word") -> str:
     for e in g.edges:
         attrs = [f"style={_EDGE_STYLE[e.kind]}"]
         if e.word is not None:
-            attrs.append(f'label="{_dot_escape(word_text(e.word))}"')
+            attrs.append(f'label="{_dot_escape(e.word)}"')
         lines.append(
             f'  "{_dot_escape(g.labels[e.u])}" -- "{_dot_escape(g.labels[e.v])}"'
             f' [{", ".join(attrs)}];'

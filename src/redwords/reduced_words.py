@@ -19,7 +19,7 @@ checked against the independent count recursion.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import WordCapExceeded
 from .permutation import Permutation, lazy
@@ -29,6 +29,9 @@ Word = bytes
 # The longest element of S_7 has about 1.1e9 reduced words; anything past a
 # couple million is out of desk scale, so the default cap skips those.
 DEFAULT_WORD_CAP = 2_000_000
+
+# Words per chunk of ``WordSet.text_chunks``.
+TEXT_BATCH = 1 << 14
 
 
 def evaluate(word: Sequence[int], n: int) -> Permutation:
@@ -55,7 +58,8 @@ class WordSet:
 
     ``rows`` is the (r, l) ``uint8`` letter matrix.  ``words`` is the same
     list as a tuple of ``bytes``, and ``texts`` as the list of their
-    ``word_text``; each is decoded on first use.
+    ``word_text``; each is decoded on first use.  ``text_chunks`` renders
+    every text form of the set: the list, the lines and the JSON array.
     """
 
     def __init__(self, target: Permutation, rows):
@@ -74,34 +78,52 @@ class WordSet:
 
     @lazy
     def words(self) -> tuple[Word, ...]:
-        if self.rows.shape[1] == 0:
-            return (b"",) * len(self.rows)
         return tuple(row_keys(self.rows).tolist())
 
     @lazy
     def texts(self) -> list[str]:
         """``word_text(u)`` for every word u, in order.
 
-        Rendered from the letter matrix in one pass: each letter becomes its
-        ASCII digit, each row ends in a newline, and the decoded whole is
-        split at the newlines.
-
         >>> from .permutation import from_window
         >>> enumerate_words(from_window([2, 5, 3, 1, 4])).texts[:3]
         ['12432', '14232', '14323']
+        """
+        texts: list[str] = []
+        for chunk in self.text_chunks("\n", ""):
+            texts.extend(chunk.split("\n"))
+        return texts
+
+    def text_chunks(self, sep: str, quote: str) -> Iterator[str]:
+        """The words as text, ``TEXT_BATCH`` rows per chunk: each word is
+        ``word_text(u)`` between two ``quote`` strings, and the words of a
+        chunk are joined by ``sep`` (ASCII both).
+
+        A chunk is rendered from the letter matrix in one pass: each letter
+        becomes its ASCII digit, and the quote and separator bytes fill their
+        own columns, so no str or bytes object is made per word.  Chunks
+        bound the memory: a buffer as large as the whole set, once freed,
+        would make the C allocator keep later allocations of that size on
+        its heap instead of returning them.
+
+        >>> from .permutation import from_window
+        >>> list(enumerate_words(from_window([3, 2, 1])).text_chunks(",", '"'))
+        ['"121","212"']
         """
         import numpy as np
 
         rows = self.rows
         r, length = rows.shape
-        if length == 0:
-            return ["e"] * r
-        if rows.max() > 9:  # needs the comma form; not reached while MAX_N <= 10
-            return [word_text(u) for u in self.words]
-        text = np.empty((r, length + 1), dtype=np.uint8)
-        np.add(rows, ord("0"), out=text[:, :length])
-        text[:, length] = ord("\n")
-        return str(text.ravel().data[:-1], "ascii").split("\n")
+        pattern = np.frombuffer((quote + "\0" * length + quote + sep).encode("ascii"), np.uint8)
+        at = len(quote)
+        for start in range(0, r, TEXT_BATCH):
+            part = rows[start : start + TEXT_BATCH]
+            if length == 0 or part.max() > 9:  # the empty word, or the comma form
+                yield sep.join(f"{quote}{word_text(u)}{quote}" for u in row_keys(part).tolist())
+                continue
+            text = np.empty((len(part), len(pattern)), dtype=np.uint8)
+            text[:] = pattern
+            np.add(part, ord("0"), out=text[:, at : at + length])
+            yield str(text.ravel().data[: text.size - len(sep)], "ascii")
 
 
 def letter_rows(words: Sequence[Sequence[int]]):
@@ -134,26 +156,26 @@ def count_words(w: Permutation, cap: int | None = None) -> int:
     With ``cap`` set, a result above the cap raises WordCapExceeded so that
     callers can skip the permutation before paying for enumeration.
     """
-    memo: dict[tuple[int, ...], int] = {}
-
-    def rec(win: tuple[int, ...]) -> int:
-        got = memo.get(win)
-        if got is not None:
-            return got
-        total = 0
-        lst = list(win)
-        for i in range(len(win) - 1):
-            if win[i] > win[i + 1]:
-                lst[i], lst[i + 1] = lst[i + 1], lst[i]
-                total += rec(tuple(lst))
-                lst[i], lst[i + 1] = lst[i + 1], lst[i]
-        memo[win] = total if total else 1
-        return memo[win]
-
-    total = rec(w.window)
+    total = _count(w.window, {})
     if cap is not None and total > cap:
         raise WordCapExceeded(w.window, total, cap)
     return total
+
+
+def _count(win: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
+    """|R(u)| for the window of u; ``memo`` maps the windows already done."""
+    got = memo.get(win)
+    if got is not None:
+        return got
+    total = 0
+    lst = list(win)
+    for i in range(len(win) - 1):
+        if win[i] > win[i + 1]:
+            lst[i], lst[i + 1] = lst[i + 1], lst[i]
+            total += _count(tuple(lst), memo)
+            lst[i], lst[i + 1] = lst[i + 1], lst[i]
+    memo[win] = total if total else 1
+    return memo[win]
 
 
 def _letter_matrix(inv: tuple[int, ...], memo: dict):
@@ -214,7 +236,7 @@ def word_text(word: Sequence[int]) -> str:
     """Digit-string form for letters up to 9, comma-separated otherwise.
 
     The empty word prints as "e".  Letters are bytes, 0..255, as in a
-    ``Word``.  ``WordSet.texts`` renders a whole word set at once.
+    ``Word``.  ``WordSet.text_chunks`` renders a whole word set at once.
     """
     if len(word) == 0:
         return "e"

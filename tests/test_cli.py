@@ -320,12 +320,14 @@ def test_enumeration_free_paths_do_not_load_numpy():
 
 def test_words_json_spans_several_batches(cli):
     # 48,048 words: the word list is rendered in more than one piece.
+    expected = [word_text(u) for u in enumerate_words(parse_window("[564321]")).words]
     code, out, _ = cli("words", "[564321]", "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
-    assert json.loads(out)["words"] == [
-        word_text(u) for u in enumerate_words(parse_window("[564321]")).words
-    ]
+    assert json.loads(out)["words"] == expected
+    code, out, _ = cli("words", "[564321]", "--format", "text")
+    assert code == 0
+    assert out == "\n".join(expected) + "\n"
 
 
 # sha256 of the stdout of one view over all 24 permutations of S_4, in

@@ -1,3 +1,4 @@
+import gc
 from itertools import product
 
 import pytest
@@ -129,6 +130,20 @@ def test_cap():
         count_words(w, cap=5)
     assert len(enumerate_words(w, cap=6)) == 6
     assert len(enumerate_words(w, cap=None)) == 6
+
+
+def test_count_words_leaves_no_cyclic_garbage():
+    # The memo must be freed by reference counting when the call returns, not
+    # wait for the cyclic collector.
+    w = parse_window("[465312]")
+    gc.collect()
+    gc.disable()
+    try:
+        count = count_words(w)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert (count, unreachable) == (2_970, 0)
 
 
 def test_longest_element_counts():
