@@ -81,7 +81,6 @@ __version__ = "0.1.0"
 
 _LAZY = {
     **dict.fromkeys((
-        "BraidClassShape",
         "ClassPartition",
         "braid_class_shape",
         "class_closure",

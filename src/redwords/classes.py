@@ -12,14 +12,12 @@ labelling ``components`` and the odd-cycle test ``odd_components``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence, Sized
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .coxeter_moves import BRAID, COMMUTATION, neighbors
-from .errors import InvariantViolation
 from .permutation import lazy
 from .reduced_words import Word, WordSet, letter_rows, row_keys
 
@@ -173,11 +171,6 @@ class ClassPartition:
             and np.array_equal(self.class_of, other.class_of)
         )
 
-    @lazy
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        """Class id -> sorted word indices."""
-        return tuple(map(tuple, self.grouped(range(len(self.class_of)))))
-
     def grouped(self, values: Sequence) -> list[list]:
         """Class id -> the list of ``values[i]`` over its word indices i, in order.
 
@@ -191,13 +184,6 @@ class ClassPartition:
         ordered = np.array(values, dtype=object)[order].tolist()
         ends = np.cumsum(self.sizes).tolist()
         return [ordered[end - size : end] for size, end in zip(self.sizes.tolist(), ends)]
-
-    def class_words(self, k: int) -> list[Word]:
-        words = self.word_set.words
-        return [words[i] for i in self.classes[k]]
-
-    def as_word_lists(self) -> list[list[Word]]:
-        return self.grouped(self.word_set.words)
 
 
 def partition_with_edges(word_set: WordSet, kind: str) -> tuple[ClassPartition, IndexPairs]:
@@ -228,45 +214,26 @@ def class_closure(word: Sequence[int], kind: str) -> list[Word]:
     return sorted(seen)
 
 
-@dataclass(frozen=True)
-class BraidClassShape:
-    """x independent braid factors and y overlapping pairs: size 2^x * 3^y."""
+def braid_class_shape(size: int, length: int) -> tuple[int, int] | None:
+    """The shape (x, y) of a braid class of ``size`` words of ``length`` letters.
 
-    x: int
-    y: int
-
-    @property
-    def size(self) -> int:
-        return 2**self.x * 3**self.y
-
-
-def braid_class_shape(class_words: Sized, length: int) -> BraidClassShape:
-    """Factor the class size as 2^x * 3^y and check 3x + 5y <= length.
-
-    Only the size of ``class_words`` is read.
-
-    Any other prime factor, or a violated letter budget, contradicts the
-    structure theorem for braid classes and is reported as a violation.
+    A class of the path-product model has 2^x * 3^y words, with x independent
+    braid factors and y overlapping pairs, and needs 3x + 5y <= length
+    letters.  None when the size has another prime factor or the letters do
+    not suffice: the class is outside the model, as some are from n = 5 on.
     """
-    size = len(class_words)
     if size < 1:
         raise ValueError("empty class")
     x = y = 0
-    m = size
-    while m % 2 == 0:
+    while size % 2 == 0:
         x += 1
-        m //= 2
-    while m % 3 == 0:
+        size //= 2
+    while size % 3 == 0:
         y += 1
-        m //= 3
-    if m != 1:
-        raise InvariantViolation(f"braid class size {size} is not of the form 2^x 3^y")
-    if 3 * x + 5 * y > length:
-        raise InvariantViolation(
-            f"braid class shape ({x},{y}) needs {3 * x + 5 * y} letters "
-            f"but the word length is only {length}"
-        )
-    return BraidClassShape(x, y)
+        size //= 3
+    if size != 1 or 3 * x + 5 * y > length:
+        return None
+    return x, y
 
 
 def path_product_edge_count(x: int, y: int) -> int:
@@ -286,9 +253,8 @@ def verify_braid_class_graph(class_words: Sequence[Word], length: int) -> bool:
     is connected and bipartite, and the edge count matches the product of x
     two-vertex paths with y three-vertex paths.
     """
-    try:
-        shape = braid_class_shape(class_words, length)
-    except InvariantViolation:
+    shape = braid_class_shape(len(class_words), length)
+    if shape is None:
         return False
     try:
         edges = move_edges(letter_rows(sorted(class_words)), BRAID)
@@ -296,7 +262,7 @@ def verify_braid_class_graph(class_words: Sequence[Word], length: int) -> bool:
         return False  # words of different lengths: not a class
     except KeyError:
         return False  # a braid move escapes the given set: not a class
-    if len(edges) != path_product_edge_count(shape.x, shape.y):
+    if len(edges) != path_product_edge_count(*shape):
         return False
     n = len(class_words)
     return not components(n, edges).any() and not len(odd_components(n, edges))

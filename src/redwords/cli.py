@@ -248,18 +248,18 @@ def _cmd_table(args) -> int:
             "[" + ",".join(row) + "]" for row in table.iter_rows(empty="null", quote='"')
         )))
         return 0
-    grid = table.to_rows()
     if args.format == "csv":
         print("," + ",".join(f"C{c + 1}" for c in range(table.cols)))
-        for r, row in enumerate(grid):
-            print(f"B{r + 1}," + ",".join(cell or "" for cell in row))
+        for r, row in enumerate(table.iter_rows(empty=""), 1):
+            print(f"B{r}," + ",".join(row))
     else:
-        width = max([5] + [len(cell) for row in grid for cell in row if cell])
+        # Every word fills exactly one cell, so the widest cell is the widest word.
+        width = max(5, *map(len, an.word_set.texts))
         header = "     " + " ".join(f"C{c + 1}".ljust(width) for c in range(table.cols))
         print(header.rstrip())
-        for r, row in enumerate(grid):
-            cells = " ".join((cell or "-").ljust(width) for cell in row)
-            print(f"B{r + 1}".ljust(5) + cells.rstrip())
+        for r, row in enumerate(table.iter_rows(empty="-"), 1):
+            cells = " ".join(cell.ljust(width) for cell in row)
+            print(f"B{r}".ljust(5) + cells.rstrip())
     return 0
 
 

@@ -115,44 +115,39 @@ def build_gamma(an: Analysis) -> LabeledGraph:
         f"C{k + 1}" for k in range(table.cols)
     )
     texts = an.word_set.texts
-    edges = tuple(
-        Edge(bi, b + ci, INCIDENCE, texts[i]) for (bi, ci), i in sorted(table.cells.items())
-    )
+    cells = zip(table.cells, table.words.tolist())
+    edges = tuple(Edge(bi, b + ci, INCIDENCE, texts[i]) for (bi, ci), i in cells)
     return LabeledGraph(labels=labels, edges=edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntersectionTable:
     """Rows are braid classes, columns are commutation classes.
 
-    Cells are stored sparsely, in row-major order; each holds the index in
-    ``word_set`` of the unique word in the row class intersected with the
-    column class, when that intersection is nonempty.
+    Only the filled cells are held, in row-major order: ``cells`` holds the
+    (row, col) of each, and ``words`` the index in ``word_set`` of the unique
+    word in the row class intersected with the column class.
     """
 
     rows: int
     cols: int
-    cells: dict[tuple[int, int], int]
+    cells: IndexPairs
+    words: np.ndarray
     word_set: WordSet
 
     def iter_rows(self, empty: str | None = None, quote: str = "") -> Iterator[list[str | None]]:
         """Dense rows in order, one at a time: each filled cell holds its word's
         text between two ``quote`` strings, and each empty cell ``empty``."""
-        texts, cells = self.word_set.texts, self.cells
+        texts = self.word_set.texts
         row, at = [empty] * self.cols, 0
-        for key in sorted(cells):  # one pass when the cells are in row-major order
-            r, c = key
+        for (r, c), i in zip(self.cells, self.words.tolist()):
             while at < r:
                 yield row
                 row, at = [empty] * self.cols, at + 1
-            row[c] = quote + texts[cells[key]] + quote
+            row[c] = quote + texts[i] + quote
         for _ in range(at, self.rows):
             yield row
             row = [empty] * self.cols
-
-    def to_rows(self) -> list[list[str | None]]:
-        """Dense row-major layout with word text, None for empty cells."""
-        return list(self.iter_rows())
 
 
 def build_table(an: Analysis) -> IntersectionTable:
@@ -170,9 +165,8 @@ def build_table(an: Analysis) -> IntersectionTable:
             f"cell {divmod(int(keys[j]), cols)} would hold both "
             f"{ws.texts[order[j]]} and {ws.texts[order[j + 1]]}"
         )
-    row, col = np.divmod(keys, cols)
-    cells = dict(zip(zip(row.tolist(), col.tolist()), order.tolist()))
-    return IntersectionTable(rows=len(bp), cols=cols, cells=cells, word_set=ws)
+    cells = IndexPairs(*np.divmod(keys, cols))
+    return IntersectionTable(rows=len(bp), cols=cols, cells=cells, words=order, word_set=ws)
 
 
 def jump_property(
@@ -276,18 +270,15 @@ class Analysis:
         """Every braid class has 2^x 3^y words and the path product's braid moves.
 
         The shape depends on the class size alone, so it is computed once per
-        distinct size; range(size) stands in for a class of that size.
+        distinct size.  A class outside the model is given -1 edges, which no
+        class has.
         """
         part, moves = self.partition(BRAID), self.edges(BRAID)
         sizes, size_of = np.unique(part.sizes, return_inverse=True)
         shape_edges = []
         for size in sizes.tolist():
-            try:
-                shape = braid_class_shape(range(size), self.word_set.target.length())
-            except InvariantViolation:
-                shape_edges.append(-1)  # no edge count matches
-                continue
-            shape_edges.append(path_product_edge_count(shape.x, shape.y))
+            shape = braid_class_shape(size, self.word_set.target.length())
+            shape_edges.append(-1 if shape is None else path_product_edge_count(*shape))
         moves_in = np.bincount(part.class_of[moves.u], minlength=len(part))
         return bool((np.array(shape_edges)[size_of] == moves_in).all())
 

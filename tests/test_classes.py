@@ -11,7 +11,6 @@ from redwords.classes import (
     verify_braid_class_graph,
 )
 from redwords.coxeter_moves import BRAID, COMMUTATION, neighbors
-from redwords.errors import InvariantViolation
 from redwords.graphs import Analysis
 from redwords.permutation import all_permutations, identity, parse_window
 from redwords.reduced_words import (
@@ -32,11 +31,11 @@ def test_partition_25314():
     an = Analysis(ws)
     cp = an.partition(COMMUTATION)
     bp = an.partition(BRAID)
-    assert words_of(cp.as_word_lists()) == [
+    assert words_of(cp.grouped(ws.words)) == [
         ["12432", "14232", "41232"],
         ["14323", "41323", "43123"],
     ]
-    assert words_of(bp.as_word_lists()) == [
+    assert words_of(bp.grouped(ws.words)) == [
         ["12432"],
         ["14232", "14323"],
         ["41232", "41323"],
@@ -49,7 +48,7 @@ def test_partition_identity():
     for kind in (BRAID, COMMUTATION):
         part = Analysis(ws).partition(kind)
         assert len(part) == 1
-        assert part.class_words(0) == [b""]
+        assert part.grouped(ws.words)[0] == [b""]
 
 
 def test_partition_is_input_order_independent():
@@ -68,10 +67,10 @@ def test_partition_classes_cover_word_set():
             ws = enumerate_words(w)
             for kind in (BRAID, COMMUTATION):
                 part = Analysis(ws).partition(kind)
-                seen = sorted(i for cls in part.classes for i in cls)
+                seen = sorted(i for cls in part.grouped(range(len(ws))) for i in cls)
                 assert seen == list(range(len(ws)))
-                reps = [ws.words[cls[0]] for cls in part.classes]
-                assert reps == [min(part.class_words(k)) for k in range(len(part))]
+                reps = [ws.words[cls[0]] for cls in part.grouped(range(len(ws)))]
+                assert reps == [min(cls) for cls in part.grouped(ws.words)]
                 assert reps == sorted(reps)
 
 
@@ -79,24 +78,17 @@ def test_braid_class_shape_examples():
     # the worked 2^2 * 3^1 class
     cls = class_closure(parse_word("12143465676"), BRAID)
     assert len(cls) == 12
-    shape = braid_class_shape(cls, 11)
-    assert (shape.x, shape.y) == (2, 1)
-    assert shape.size == 12
+    assert braid_class_shape(len(cls), 11) == (2, 1)
     # singleton and pair classes from the [25314] example
-    single = braid_class_shape([parse_word("12432")], 5)
-    assert (single.x, single.y) == (0, 0)
-    pair = braid_class_shape([parse_word("14232"), parse_word("14323")], 5)
-    assert (pair.x, pair.y) == (1, 0)
+    assert braid_class_shape(1, 5) == (0, 0)
+    assert braid_class_shape(2, 5) == (1, 0)
 
 
 def test_braid_class_shape_rejects_other_prime_factors():
-    fake = [bytes((1,))] * 5
-    with pytest.raises(InvariantViolation):
-        braid_class_shape(fake, 30)
-    with pytest.raises(InvariantViolation):
-        braid_class_shape([bytes((1,))] * 4, 5)  # 3x = 6 > 5 letters
+    assert braid_class_shape(5, 30) is None
+    assert braid_class_shape(4, 5) is None  # 3x = 6 > 5 letters
     with pytest.raises(ValueError):
-        braid_class_shape([], 4)
+        braid_class_shape(0, 4)
 
 
 def test_path_product_edge_count_against_explicit_product():
@@ -140,13 +132,12 @@ def test_braid_cascades_break_the_path_product_model():
     assert [word_text(u) for u in cls] == [
         "1213243", "2123243", "2132343", "2132434",
     ]
-    assert braid_class_shape(cls, 7).size == 4
+    assert braid_class_shape(len(cls), 7) == (2, 0)
     assert not verify_braid_class_graph(cls, 7)
     # One letter more and the size itself leaves the 2^x 3^y family.
     cls5 = class_closure(parse_word("121324354"), BRAID)
     assert len(cls5) == 5
-    with pytest.raises(InvariantViolation):
-        braid_class_shape(cls5, 9)
+    assert braid_class_shape(len(cls5), 9) is None
     assert not verify_braid_class_graph(cls5, 9)
 
 
@@ -155,9 +146,8 @@ def test_braid_classes_conform_fully_up_to_n4(n):
     for w in all_permutations(n):
         ws = enumerate_words(w)
         bp = Analysis(ws).partition(BRAID)
-        for k in range(len(bp)):
-            cls = bp.class_words(k)
-            braid_class_shape(cls, w.length())
+        for cls in bp.grouped(ws.words):
+            assert braid_class_shape(len(cls), w.length()) is not None
             assert verify_braid_class_graph(cls, w.length())
 
 
@@ -185,8 +175,7 @@ def test_class_closure_matches_partition():
     ws = enumerate_words(w)
     for kind in (BRAID, COMMUTATION):
         part = Analysis(ws).partition(kind)
-        for k in range(len(part)):
-            members = part.class_words(k)
+        for members in part.grouped(ws.words):
             assert class_closure(members[0], kind) == members
 
 
@@ -228,7 +217,7 @@ def _assert_engine_matches_word_level_oracle(ws, kind):
     assert len(edges) == len(expected) == len(set(edges))
     assert set(edges) == expected
     seen = set()
-    for cid, cls in enumerate(part.classes):
+    for cid, cls in enumerate(part.grouped(range(len(ws)))):
         members = [ws.words[i] for i in cls]
         assert class_closure(members[0], kind) == members
         assert all(part.class_of[i] == cid for i in cls)

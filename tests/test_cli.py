@@ -330,6 +330,24 @@ def test_words_json_spans_several_batches(cli):
     assert out == "\n".join(expected) + "\n"
 
 
+def test_table_csv_streams_its_rows():
+    # [564321] has 28,594 braid classes by 268 commutation classes: a grid of
+    # 7.66 M cells, of which the 48,048 words fill one each.  Held whole, the
+    # grid alone takes about 60 MB.
+    import contextlib
+    import os
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert run(["table", "[564321]", "--format", "csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
 # sha256 of the stdout of one view over all 24 permutations of S_4, in
 # lexicographic window order, as released before the views were rebuilt on
 # the Analysis; any change to a class list, a table or a graph shows here.

@@ -131,7 +131,7 @@ def test_table_25314():
     table = build_table(analyse(parse_window("[25314]")))
     assert (table.rows, table.cols) == (4, 2)
     assert len(table.cells) == 6
-    assert table.to_rows() == [
+    assert list(table.iter_rows()) == [
         ["12432", None],
         ["14232", "14323"],
         ["41232", "41323"],
@@ -169,16 +169,29 @@ def test_table_reports_a_cell_holding_two_words(monkeypatch, braid_class_of, mes
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_table_cells_are_row_major_and_hold_every_word_once(n):
+    for w in all_permutations(n):
+        an = analyse(w)
+        table = build_table(an)
+        cells, words = list(table.cells), table.words.tolist()
+        assert all(a < b for a, b in zip(cells, cells[1:])), w.window
+        assert sorted(words) == list(range(len(an.word_set)))
+        braid_of = an.partition(BRAID).class_of.tolist()
+        commutation_of = an.partition(COMMUTATION).class_of.tolist()
+        assert cells == [(braid_of[i], commutation_of[i]) for i in words]
+
+
 def test_table_trivial_cases():
     table = build_table(analyse(identity(3)))
     assert (table.rows, table.cols) == (1, 1)
-    assert table.to_rows() == [["e"]]
+    assert list(table.iter_rows()) == [["e"]]
     # fully commutative: a single column, every row filled
     an = analyse(parse_window("[241563]"))
     table = build_table(an)
     assert table.cols == 1
     assert table.rows == len(an.word_set)
-    assert all(row[0] is not None for row in table.to_rows())
+    assert all(row[0] is not None for row in list(table.iter_rows()))
 
 
 def test_jump_property_grid_cases():
@@ -298,7 +311,7 @@ def test_braid_shape_answer_matches_the_class_by_class_check_on_s5():
         an = analyse(w)
         bp = an.partition(BRAID)
         expected = all(
-            verify_braid_class_graph(bp.class_words(k), w.length()) for k in range(len(bp))
+            verify_braid_class_graph(cls, w.length()) for cls in bp.grouped(an.word_set.words)
         )
         assert an.braid_shapes_conform == expected, w.window
         answers.append(expected)
