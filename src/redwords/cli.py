@@ -257,9 +257,9 @@ def _cmd_table(args) -> int:
         width = max(5, *map(len, an.word_set.texts))
         header = "     " + " ".join(f"C{c + 1}".ljust(width) for c in range(table.cols))
         print(header.rstrip())
-        for r, row in enumerate(table.iter_rows(empty="-"), 1):
-            cells = " ".join(cell.ljust(width) for cell in row)
-            print(f"B{r}".ljust(5) + cells.rstrip())
+        # Most cells of a large table are empty, so the empty cell is padded once.
+        for r, row in enumerate(table.iter_rows(empty="-".ljust(width), width=width), 1):
+            print(f"B{r}".ljust(5) + " ".join(row).rstrip())
     return 0
 
 
@@ -398,7 +398,7 @@ def _cmd_scan(args) -> int:
         if "conjecture" in checks:
             print(f"conjecture counterexamples: {len(report.conjecture_counterexamples)}")
     elif to_stdout:
-        sys.stdout.write(report.jsonl())
+        sys.stdout.writelines(report.lines())
     return _strict_exit(args, report.skipped_count)
 
 

@@ -135,16 +135,19 @@ class IntersectionTable:
     words: np.ndarray
     word_set: WordSet
 
-    def iter_rows(self, empty: str | None = None, quote: str = "") -> Iterator[list[str | None]]:
+    def iter_rows(
+        self, empty: str | None = None, quote: str = "", width: int = 0
+    ) -> Iterator[list[str | None]]:
         """Dense rows in order, one at a time: each filled cell holds its word's
-        text between two ``quote`` strings, and each empty cell ``empty``."""
+        text between two ``quote`` strings, left-justified to ``width``, and
+        each empty cell ``empty``."""
         texts = self.word_set.texts
         row, at = [empty] * self.cols, 0
         for (r, c), i in zip(self.cells, self.words.tolist()):
             while at < r:
                 yield row
                 row, at = [empty] * self.cols, at + 1
-            row[c] = quote + texts[i] + quote
+            row[c] = (quote + texts[i] + quote).ljust(width)
         for _ in range(at, self.rows):
             yield row
             row = [empty] * self.cols
@@ -196,13 +199,16 @@ class Analysis:
     the move edges that induced it, and edges asked for first are found
     without labelling their components.  The pair set holds the distinct
     (braid class, commutation class) pairs of the words: the edges of
-    Gamma(w) and the filled cells of T(w).
+    Gamma(w) and the filled cells of T(w).  Every answer the scan reads is
+    kept once computed, so the scan can read one analysis for each window of
+    a symmetry orbit.
     """
 
     def __init__(self, word_set: WordSet):
         self.word_set = word_set
         self._partitions: dict[str, ClassPartition] = {}
         self._edges: dict[str, IndexPairs] = {}
+        self._bipartite: dict[str, bool] = {}
 
     def partition(self, kind: str) -> ClassPartition:
         """B(w) for kind="braid", C(w) for kind="commutation".
@@ -257,15 +263,19 @@ class Analysis:
 
     def class_graph_bipartite(self, kind: str) -> bool:
         """G_c (kind=COMMUTATION) or G_b (kind=BRAID) has no odd cycle and no loop."""
-        return not len(odd_components(len(self.partition(kind)), self.class_edges(kind)))
+        got = self._bipartite.get(kind)
+        if got is None:
+            odd = odd_components(len(self.partition(kind)), self.class_edges(kind))
+            got = self._bipartite[kind] = not len(odd)
+        return got
 
-    @property
+    @lazy
     def braid_crossings(self) -> int:
         """Braid moves between two braid classes: none, as the classes are their components."""
         class_of, moves = self.partition(BRAID).class_of, self.edges(BRAID)
         return int(np.count_nonzero(class_of[moves.u] != class_of[moves.v]))
 
-    @property
+    @lazy
     def braid_shapes_conform(self) -> bool:
         """Every braid class has 2^x 3^y words and the path product's braid moves.
 
@@ -282,12 +292,12 @@ class Analysis:
         moves_in = np.bincount(part.class_of[moves.u], minlength=len(part))
         return bool((np.array(shape_edges)[size_of] == moves_in).all())
 
-    @property
-    def odd_braid_classes(self) -> list[int]:
+    @lazy
+    def odd_braid_classes(self) -> tuple[int, ...]:
         """Ids of the braid classes with an odd cycle: each is an odd component
         of the braid edges."""
         class_of = self.partition(BRAID).class_of
-        return class_of[odd_components(len(class_of), self.edges(BRAID))].tolist()
+        return tuple(class_of[odd_components(len(class_of), self.edges(BRAID))].tolist())
 
     @lazy
     def gamma_connected(self) -> bool:

@@ -19,6 +19,26 @@ classes are longer presentation paths than that model allows.  The scan
 reports every nonconforming class; connectivity and bipartiteness of the
 classes themselves are still enforced.
 
+A scan that enumerates R(w) analyses it once per symmetry orbit {w, w^-1,
+w0 w w0, w0 w^-1 w0}: 230 orbits for the 720 permutations of S_6, 1,388 for
+the 5,040 of S_7.  Word reversal and the letter substitution i -> n-i map
+R(w) one-to-one onto R(v) for each v of the orbit, and send braid moves to
+braid moves and commutation moves to commutation moves, so the partitions,
+their move graphs and Gamma(w) of v are those of w, relabelled.  The fields
+read from the one shared analysis are therefore those of every window of
+the orbit: ``skipped`` (r is the same), ``r``, ``b``, ``c``,
+``achieves_upper``, ``achieves_lower``, ``circuit_free``,
+``braid_shape_conforming`` (class sizes and the length are the same) and the
+circuit-freeness that ``conjecture_status`` compares with the prediction.
+The word-level template test reads the shared words and is the same too,
+since it tries the four images of every word.  Every window-level field,
+and every bound check that compares one with r, b and c, is computed per
+window.  A violation message may name a class id, which depends on the
+order of one window's words, so a window to which the shared analysis gives
+any violation is verified again with its own: every record is the one that
+``verify_permutation(w)`` gives alone.  Scans with ``weak_order`` or no
+checks never group windows.
+
 The weak-order columns never enumerate R(w).  ``support_size`` is read off
 the window.  Every ``width`` comes from one ``interval_widths`` pass over
 S_n, made once per scan, in a pool worker when there is a pool, while this
@@ -36,6 +56,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import permutations as _lex_windows
+from typing import TYPE_CHECKING, Iterator
 
 from .characterizations import (
     count_lower,
@@ -57,6 +78,9 @@ from .weak_order import (
     predicts_circuit_free,
     support,
 )
+
+if TYPE_CHECKING:
+    from .graphs import Analysis
 
 SCHEMA_VERSION = 1
 
@@ -158,11 +182,15 @@ class ScanReport:
         )
         return obj
 
-    def jsonl(self) -> str:
+    def lines(self) -> Iterator[str]:
+        """The JSON Lines output one line at a time, each ending in a newline."""
         encode = _COMPACT.encode
-        lines = [encode(rec.to_json_obj()) for rec in self.records]
-        lines.append(_canonical(self.to_json_obj()))
-        return "\n".join(lines) + "\n"
+        for rec in self.records:
+            yield encode(rec.to_json_obj()) + "\n"
+        yield _canonical(self.to_json_obj()) + "\n"
+
+    def jsonl(self) -> str:
+        return "".join(self.lines())
 
 
 def _canonical(obj: dict) -> str:
@@ -174,11 +202,15 @@ def verify_permutation(
     checks: frozenset[str] = frozenset(CHECK_GROUPS),
     word_cap: int = DEFAULT_WORD_CAP,
     width: int | None = None,
+    analysis: Analysis | WordCapExceeded | None = None,
 ) -> ScanRecord:
     """Run every selected check on one permutation; violations are recorded.
 
     ``width`` is the width of [e, w] when the caller already has it;
     otherwise it comes from the closure interval, if a check needs it.
+    ``analysis`` is the analysis of R(v) for some v in the symmetry orbit of
+    w (see ``_verify_orbit``), or the WordCapExceeded that building it
+    raised; by default R(w) itself is analysed, if a check needs it.
     """
     violations: list[str] = []
     fully_commutative = w.is_321_avoiding()
@@ -204,12 +236,8 @@ def verify_permutation(
     if not (checks & _ENUMERATING):
         return ScanRecord(**common)
 
-    # The graph modules load numpy, which an enumeration-free scan never needs.
-    from .graphs import analyse
-
-    try:
-        an = analyse(w, cap=word_cap)
-    except WordCapExceeded:
+    an = _analyse(w, word_cap) if analysis is None else analysis
+    if isinstance(an, WordCapExceeded):
         return ScanRecord(
             **common,
             skipped="cap",
@@ -295,14 +323,48 @@ def verify_permutation(
     )
 
 
-def _verify_batch(
-    checks: frozenset[str], word_cap: int, batch: list[tuple[tuple[int, ...], int | None]]
-) -> list[ScanRecord]:
-    """Records of (window, width) pairs, every one under the same checks and cap."""
-    return [
-        verify_permutation(Permutation(window), checks=checks, word_cap=word_cap, width=width)
-        for window, width in batch
-    ]
+def _analyse(w: Permutation, word_cap: int) -> Analysis | WordCapExceeded:
+    """The analysis of R(w), or the WordCapExceeded that its size raises."""
+    # The graph modules load numpy, which an enumeration-free scan never needs.
+    from .graphs import analyse
+
+    try:
+        return analyse(w, cap=word_cap)
+    except WordCapExceeded as exc:
+        # Without its traceback the exception holds no frame of the count.
+        return exc.with_traceback(None)
+
+
+def _verify_batch(checks: frozenset[str], word_cap: int, batch: list[tuple]) -> list[ScanRecord]:
+    """Records of one batch of work, every one under the same checks and cap.
+
+    A work item is a (window, width) pair, or, when the checks enumerate
+    R(w), the tuple of such pairs of one symmetry orbit.
+    """
+    verify = partial(verify_permutation, checks=checks, word_cap=word_cap)
+    if not checks & _ENUMERATING:
+        return [verify(Permutation(window), width=width) for window, width in batch]
+    return [rec for orbit in batch for rec in _verify_orbit(verify, word_cap, orbit)]
+
+
+def _verify_orbit(verify, word_cap: int, orbit: tuple) -> list[ScanRecord]:
+    """Records of the (window, width) pairs of one symmetry orbit.
+
+    R(w) is analysed once, for the first window, and every window of the
+    orbit is verified against that analysis, which is freed on return,
+    before the next orbit's is built.  A window to which the shared analysis
+    gives any violation is verified again with its own, so that its
+    messages, which may name class ids, are those of an unreduced scan.
+    """
+    perms = [Permutation(window) for window, _ in orbit]
+    shared = _analyse(perms[0], word_cap)
+    records = []
+    for w, (_, width) in zip(perms, orbit):
+        rec = verify(w, width=width, analysis=shared)
+        if rec.violations and w is not perms[0]:
+            rec = verify(w, width=width)
+        records.append(rec)
+    return records
 
 
 def _longest_first(windows: list[tuple[int, ...]], todo: list[int]) -> list[int]:
@@ -315,14 +377,30 @@ def _longest_first(windows: list[tuple[int, ...]], todo: list[int]) -> list[int]
     return sorted(todo, key=lambda k: -inversion_count(windows[k]))
 
 
-def _costliest_first(order: list[tuple], workers: int) -> list[list[tuple]]:
-    """Split work already in ``_longest_first`` order into batches.
+def _orbits(windows: list[tuple[int, ...]], order: list[int]) -> list[list[int]]:
+    """The indices in ``order`` grouped by symmetry orbit, in ``order``.
 
-    Starting with one permutation per batch lets the pool balance the costly
-    ones; the sizes then double, one batch per worker at each size, up to
-    1/(8 * workers) of the permutations.
+    The orbit of w is {w, w^-1, w0 w w0, w0 w^-1 w0}.  Its members have one
+    length, so orbits of work in ``_longest_first`` order stay longest first.
     """
-    cap = max(1, len(order) // (workers * 8))
+    orbits: dict[tuple[int, ...], list[int]] = {}
+    for k in order:
+        w = Permutation(windows[k])
+        v = w.inverse()
+        key = min(w.window, v.window, w.complement().window, v.complement().window)
+        orbits.setdefault(key, []).append(k)
+    return list(orbits.values())
+
+
+def _costliest_first(order: list, workers: int, total: int | None = None) -> list[list]:
+    """Split work items already in ``_longest_first`` order into batches.
+
+    Starting with one item per batch lets the pool balance the costly ones;
+    the sizes then double, one batch per worker at each size, up to
+    1/(8 * workers) of ``total``, the number of permutations the items hold
+    (by default one each).
+    """
+    cap = max(1, (len(order) if total is None else total) // (workers * 8))
     batches, start, size = [], 0, 1
     while start < len(order):
         for _ in range(workers):
@@ -338,9 +416,9 @@ def scan(options: ScanOptions) -> ScanReport:
 
     Re-running against an existing output file of the same n, checks and
     cap reuses its records (matched by window) instead of recomputing them;
-    the file is rewritten whole so that the result is identical to a fresh
-    run.  An output path that cannot be written raises OSError before the
-    first permutation is computed, not after the last.
+    the file is rewritten whole, one line at a time, so that the result is
+    identical to a fresh run.  An output path that cannot be written raises
+    OSError before the first permutation is computed, not after the last.
     """
     n = options.n
     windows = list(_lex_windows(range(1, n + 1)))
@@ -360,10 +438,15 @@ def scan(options: ScanOptions) -> ScanReport:
         # submits it at once, and this process sorts while it runs.
         pending = mapper(interval_widths, [n]) if options.checks & _NEED_WIDTH and todo else None
         order = _longest_first(windows, todo)
+        orbits = _orbits(windows, order) if options.checks & _ENUMERATING else None
         widths = next(pending) if pending else None
-        items = [(windows[k], None if widths is None else widths[k]) for k in order]
+
+        def item(k: int) -> tuple[tuple[int, ...], int | None]:
+            return windows[k], None if widths is None else widths[k]
+
+        items = [tuple(map(item, orbit)) for orbit in orbits] if orbits else list(map(item, order))
         verify = partial(_verify_batch, options.checks, options.word_cap)
-        batches = _costliest_first(items, workers)
+        batches = _costliest_first(items, workers, len(order))
         computed = [rec for recs in mapper(verify, batches) for rec in recs]
 
     by_window = dict(existing)
@@ -400,7 +483,7 @@ def scan(options: ScanOptions) -> ScanReport:
     if options.output_path:
         tmp = options.output_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(report.jsonl())
+            fh.writelines(report.lines())
         os.replace(tmp, options.output_path)
 
     if report.violation_count:

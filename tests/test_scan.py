@@ -385,6 +385,100 @@ def test_scan_aborts_on_violation(monkeypatch):
         scan_module.scan(ScanOptions(n=3))
 
 
+def _orbit(w):
+    """w, w^-1, w0 w w0 and w0 w^-1 w0, each once, w first."""
+    v = w.inverse()
+    return list({u.window: u for u in (w, v, w.complement(), v.complement())}.values())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_an_analysis_shared_across_an_orbit_gives_the_unreduced_records(n):
+    # Reversal and w0-conjugation map R(w) one-to-one onto R(v) and moves to
+    # moves of the same kind, so every answer the record reads from the
+    # analysis of w is the answer for v.  The first read of each answer
+    # fills the analysis's cache; the later members of the orbit read it.
+    unreduced = {w.window: verify_permutation(w) for w in all_permutations(n)}
+    for w in all_permutations(n):
+        an = graphs.analyse(w)
+        for v in _orbit(w):
+            assert verify_permutation(v, analysis=an) == unreduced[v.window], (w, v)
+
+
+def test_the_reduced_scan_equals_the_unreduced_route_with_cap_skips():
+    # Under a cap of 10, whole orbits of S_5 are skipped from one count.
+    rep = scan(ScanOptions(n=5, word_cap=10, workers=2))
+    unreduced = [verify_permutation(w, word_cap=10) for w in all_permutations(5)]
+    assert rep.skipped_count > 0
+    assert list(rep.records) == unreduced
+
+
+def _counting(monkeypatch, module, name):
+    """Record the window of every call of ``module.name``."""
+    calls, real = [], getattr(module, name)
+
+    def counting(w, **kwargs):
+        calls.append(w.window)
+        return real(w, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_resume_from_part_of_an_orbit_recomputes_only_the_missing_windows(
+    tmp_path, monkeypatch
+):
+    out = tmp_path / "s4.jsonl"
+    scan(ScanOptions(n=4, output_path=str(out)))
+    full = out.read_text()
+    orbit = [v.window for v in _orbit(parse_window("[1342]"))]
+    assert len(orbit) == 4
+    missing = sorted(orbit[1::2])
+    kept = [line for line in full.splitlines(keepends=True)
+            if tuple(json.loads(line).get("window", ())) not in missing]
+    out.write_text("".join(kept))
+
+    computed = _counting(monkeypatch, scan_module, "verify_permutation")
+    analysed = _counting(monkeypatch, graphs, "analyse")
+    scan(ScanOptions(n=4, output_path=str(out)))
+    assert sorted(computed) == missing
+    assert analysed == [missing[0]]
+    assert out.read_text() == full
+
+
+def test_a_violation_from_a_shared_analysis_is_verified_again(tmp_path, monkeypatch):
+    # A braid move from the last word to itself makes the braid class of the
+    # last word odd in every analysis.  Its id follows the least word of the
+    # class, so orbit members name different classes.
+    def with_last_loop(word_set, kind):
+        part, moves = real(word_set, kind)
+        if kind == BRAID:
+            last = len(word_set) - 1
+            moves = IndexPairs(np.append(moves.u, last), np.append(moves.v, last))
+        return part, moves
+
+    real = graphs.partition_with_edges
+    monkeypatch.setattr(graphs, "partition_with_edges", with_last_loop)
+    perms = list(all_permutations(4))
+    unreduced = {w.window: verify_permutation(w) for w in perms}
+    assert all(rec.violations for rec in unreduced.values())
+    shared = {
+        v.window: verify_permutation(v, analysis=graphs.analyse(w))
+        for w in perms for v in _orbit(w)
+    }
+    assert any(shared[win] != rec for win, rec in unreduced.items())
+
+    computed = _counting(monkeypatch, scan_module, "verify_permutation")
+    out = tmp_path / "s4.jsonl"
+    with pytest.raises(InvariantViolation, match="is not bipartite"):
+        scan(ScanOptions(n=4, output_path=str(out)))
+    lines = out.read_text().splitlines()[:-1]
+    records = [ScanRecord.from_json_obj(json.loads(line)) for line in lines]
+    assert records == [unreduced[w.window] for w in perms]
+    # Once per window, and again for each window but the first of its orbit.
+    orbits = {min(v.window for v in _orbit(w)) for w in perms}
+    assert len(computed) == 2 * len(perms) - len(orbits)
+
+
 # sha256 of the full JSON Lines output under the default options, as first
 # released; any change to a record, the report or the serialization shows here.
 PINNED_JSONL_SHA256 = {
