@@ -99,9 +99,6 @@ _LAZY = {
         "build_word_graph",
         "contract",
         "export_dot",
-        "is_bipartite",
-        "is_connected",
-        "is_tree",
         "jump_property",
     ), "graphs"),
 }

@@ -31,9 +31,12 @@ from .classes import (
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation
 from .permutation import Permutation, lazy
-from .reduced_words import DEFAULT_WORD_CAP, WordSet, enumerate_words
+from .reduced_words import DEFAULT_WORD_CAP, WordSet, enumerate_words, word_text
 
 INCIDENCE = "incidence"
+
+# The bit of ``WordSet.parities`` that a move of each kind flips.
+_FLIPS = {COMMUTATION: 1, BRAID: 2}
 
 
 class Edge(NamedTuple):
@@ -89,18 +92,6 @@ def contract(g: LabeledGraph, kind: str) -> LabeledGraph:
                 kept.add((min(cu, cv), max(cu, cv), e.kind))
     edges = tuple(Edge(u, v, k) for u, v, k in sorted(kept))
     return LabeledGraph(labels=labels, edges=edges)
-
-
-def is_connected(g: LabeledGraph) -> bool:
-    return not components(g.vertex_count, ((e.u, e.v) for e in g.edges)).any()
-
-
-def is_bipartite(g: LabeledGraph) -> bool:
-    return not len(odd_components(g.vertex_count, ((e.u, e.v) for e in g.edges)))
-
-
-def is_tree(g: LabeledGraph) -> bool:
-    return is_connected(g) and g.edge_count == g.vertex_count - 1
 
 
 def build_gamma(an: Analysis) -> LabeledGraph:
@@ -209,6 +200,7 @@ class Analysis:
         self._partitions: dict[str, ClassPartition] = {}
         self._edges: dict[str, IndexPairs] = {}
         self._bipartite: dict[str, bool] = {}
+        self._breaks: dict[str, tuple[str, str] | None] = {}
 
     def partition(self, kind: str) -> ClassPartition:
         """B(w) for kind="braid", C(w) for kind="commutation".
@@ -262,12 +254,47 @@ class Analysis:
         )
 
     def class_graph_bipartite(self, kind: str) -> bool:
-        """G_c (kind=COMMUTATION) or G_b (kind=BRAID) has no odd cycle and no loop."""
+        """G_c (kind=COMMUTATION) or G_b (kind=BRAID) has no odd cycle and no loop.
+
+        Certified without the class edges when every move of the other kind
+        flips its parity bit and that bit is constant on each class: the bit
+        then 2-colours the class graph.  Otherwise the odd components of the
+        class edges decide.
+        """
         got = self._bipartite.get(kind)
         if got is None:
-            odd = odd_components(len(self.partition(kind)), self.class_edges(kind))
-            got = self._bipartite[kind] = not len(odd)
+            other = BRAID if kind == COMMUTATION else COMMUTATION
+            if self.parity_break(other) is None and self._constant_on_classes(kind, _FLIPS[other]):
+                got = True
+            else:
+                got = not len(odd_components(len(self.partition(kind)), self.class_edges(kind)))
+            self._bipartite[kind] = got
         return got
+
+    def parity_break(self, kind: str) -> tuple[str, str] | None:
+        """The texts of the two words of the first move of one kind that does
+        not flip its own parity bit and keep the other, or None.
+
+        A braid move flips p_c and a commutation move p_b (``WordSet.parities``):
+        a move that does not is a wrong move edge.
+        """
+        if kind not in self._breaks:
+            par, moves = self.word_set.parities, self.edges(kind)
+            bad = np.flatnonzero((par[moves.u] ^ par[moves.v]) != _FLIPS[kind])
+            self._breaks[kind] = None
+            if len(bad):
+                rows = self.word_set.rows
+                k = bad[0]
+                self._breaks[kind] = (word_text(rows[moves.u[k]]), word_text(rows[moves.v[k]]))
+        return self._breaks[kind]
+
+    def _constant_on_classes(self, kind: str, mask: int) -> bool:
+        """The parity bits under ``mask`` are the same on every word of each
+        class of one kind."""
+        part, bits = self.partition(kind), self.word_set.parities & mask
+        seen = np.zeros(len(part), dtype=bits.dtype)
+        seen[part.class_of] = bits
+        return bool(np.array_equal(seen[part.class_of], bits))
 
     @lazy
     def braid_crossings(self) -> int:
@@ -295,7 +322,10 @@ class Analysis:
     @lazy
     def odd_braid_classes(self) -> tuple[int, ...]:
         """Ids of the braid classes with an odd cycle: each is an odd component
-        of the braid edges."""
+        of the braid edges.  Empty, with no odd-cycle test, when every braid
+        move flips p_c, which then 2-colours them."""
+        if self.parity_break(BRAID) is None:
+            return ()
         class_of = self.partition(BRAID).class_of
         return tuple(class_of[odd_components(len(class_of), self.edges(BRAID))].tolist())
 

@@ -19,6 +19,20 @@ classes are longer presentation paths than that model allows.  The scan
 reports every nonconforming class; connectivity and bipartiteness of the
 classes themselves are still enforced.
 
+Bipartiteness of G_c(w), of G_b(w) and of every braid class is certified
+without a class graph.  A reduced word lists the inversions of w in some
+order; p_b and p_c, the parities of the disjoint and of the overlapping
+inversion pairs it lists in reverse (``WordSet.parities``), are flipped by
+a commutation move and by a braid move respectively and kept by the other.
+When every move edge does that, p_c 2-colours each braid class, and p_b
+(p_c), if constant on each braid (commutation) class, 2-colours G_b (G_c).
+Where that fails, the odd components of the bipartite double cover decide,
+so each verdict stays exact, and a move that breaks its parity is a
+``graphs`` violation naming its two words.  The exact route ran on no
+permutation of S_1-S_7 under the cap.  On 2 vCPUs every check on all of S_7
+at 2 workers took 83 s with a peak of 430 MB per worker, against 105 s and
+769 MB when the double covers decided.
+
 A scan that enumerates R(w) analyses it once per symmetry orbit {w, w^-1,
 w0 w w0, w0 w^-1 w0}: 230 orbits for the 720 permutations of S_6, 1,388 for
 the 5,040 of S_7.  Word reversal and the letter substitution i -> n-i map
@@ -273,6 +287,12 @@ def verify_permutation(
             violations.append("G_c(w) is not bipartite")
         if not an.class_graph_bipartite(BRAID):
             violations.append("G_b(w) is not bipartite")
+        for kind, flips, keeps in ((COMMUTATION, "p_b", "p_c"), (BRAID, "p_c", "p_b")):
+            move = an.parity_break(kind)
+            if move is not None:
+                violations.append(
+                    f"the {kind} move {move[0]} - {move[1]} does not flip {flips} and keep {keeps}"
+                )
         if not gamma_connected:
             violations.append("the intersection table fails the jump property")
 

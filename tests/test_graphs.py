@@ -1,6 +1,11 @@
 import pytest
 
-from redwords.classes import ClassPartition, verify_braid_class_graph
+from redwords.classes import (
+    ClassPartition,
+    components,
+    odd_components,
+    verify_braid_class_graph,
+)
 from redwords.coxeter_moves import BRAID, COMMUTATION
 from redwords.graphs import (
     Edge,
@@ -11,12 +16,23 @@ from redwords.graphs import (
     build_word_graph,
     contract,
     export_dot,
-    is_bipartite,
-    is_connected,
-    is_tree,
     jump_property,
 )
 from redwords.permutation import all_permutations, identity, parse_window
+
+
+# Graph predicates on a built LabeledGraph: the oracles that the views and the
+# analysis's own answers are checked against.
+def is_connected(g):
+    return not components(g.vertex_count, ((e.u, e.v) for e in g.edges)).any()
+
+
+def is_bipartite(g):
+    return not len(odd_components(g.vertex_count, ((e.u, e.v) for e in g.edges)))
+
+
+def is_tree(g):
+    return is_connected(g) and g.edge_count == g.vertex_count - 1
 
 
 def graph_for(window_text_form):
@@ -316,3 +332,30 @@ def test_braid_shape_answer_matches_the_class_by_class_check_on_s5():
         assert an.braid_shapes_conform == expected, w.window
         answers.append(expected)
     assert answers.count(False) == 11  # criterion 3's witnesses in S_5
+
+
+def test_parity_certificate_decides_bipartiteness_on_s1_to_s6(monkeypatch):
+    # While the certificate holds, neither answer reads the class edges or
+    # runs the odd-cycle test; the exact route, run here on its own, must
+    # give the same answers.
+    import redwords.graphs as graphs
+
+    def refuse(*args):
+        raise AssertionError("the exact route ran")
+
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            an = analyse(w)
+            assert an.parity_break(BRAID) is None and an.parity_break(COMMUTATION) is None
+            with monkeypatch.context() as m:
+                m.setattr(graphs, "odd_components", refuse)
+                m.setattr(an, "class_edges", refuse)
+                certified = [an.class_graph_bipartite(kind) for kind in (BRAID, COMMUTATION)]
+                odd = an.odd_braid_classes
+            exact = [
+                not len(odd_components(len(an.partition(kind)), an.class_edges(kind)))
+                for kind in (BRAID, COMMUTATION)
+            ]
+            assert certified == exact == [True, True], w.window
+            class_of = an.partition(BRAID).class_of
+            assert odd == tuple(class_of[odd_components(len(class_of), an.edges(BRAID))]) == ()

@@ -1,6 +1,7 @@
 import gc
 from itertools import product
 
+import numpy as np
 import pytest
 
 from redwords.errors import WordCapExceeded
@@ -118,6 +119,40 @@ def test_word_level_symmetries(n):
         assert reversed_words == set(enumerate_words(w.inverse()).words)
         complemented = {bytes(n - a for a in u) for u in words}
         assert complemented == set(enumerate_words(w.complement()).words)
+
+
+def walked_parities(word, n) -> int:
+    """p_b | p_c << 1 of one word, from its own inversion sequence.
+
+    Each step swaps the values at two adjacent positions, an inversion of the
+    product; the reference order of the value pairs is lexicographic, and
+    p_b and p_c count the disjoint and the overlapping pairs listed in
+    reverse, mod 2.
+    """
+    win = list(range(1, n + 1))
+    seq = []
+    for a in word:
+        x, y = win[a - 1], win[a]
+        seq.append((min(x, y), max(x, y)))
+        win[a - 1], win[a] = y, x
+    bits = 0
+    for i, s in enumerate(seq):
+        for t in seq[i + 1 :]:
+            if s > t:
+                bits ^= 2 if set(s) & set(t) else 1
+    return bits
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_parities_match_the_inversion_order_walk(n):
+    # The walk and the recursion may fix the parity of a different reference
+    # word, so they must agree up to one XOR per permutation.
+    for w in all_permutations(n):
+        ws = enumerate_words(w)
+        walked = np.array([walked_parities(u, n) for u in ws.words], dtype=np.uint8)
+        got = ws.parities
+        assert got.dtype == np.uint8 and len(got) == len(ws)
+        assert (got ^ walked == got[0] ^ walked[0]).all(), w.window
 
 
 def test_cap():

@@ -10,6 +10,7 @@ from redwords.classes import ClassPartition, IndexPairs
 from redwords.coxeter_moves import BRAID, COMMUTATION
 from redwords.errors import InvariantViolation
 from redwords.permutation import MAX_N, all_permutations, longest_element, parse_window
+from redwords.reduced_words import WordSet
 from redwords.scan import (
     ScanOptions,
     ScanRecord,
@@ -109,6 +110,27 @@ def _with_loop(moves):
     return IndexPairs(np.append(moves.u, 0), np.append(moves.v, 0))
 
 
+def _with_edge(k, v):
+    """Add the move edge (k, v) to the true ones."""
+    return lambda moves: IndexPairs(np.append(moves.u, k), np.append(moves.v, v))
+
+
+def _doctored_parities(k, flips):
+    """XOR the parity bits of word index k, in every word set, with ``flips``."""
+
+    def doctor(monkeypatch):
+        real = WordSet.__dict__["parities"].func
+
+        def doctored(word_set):
+            par = real(word_set).copy()
+            par[k] ^= flips
+            return par
+
+        monkeypatch.setattr(WordSet, "parities", property(doctored))
+
+    return doctor
+
+
 # [321] has the words 121 and 212: one braid class, two commutation classes.
 # [2143] has 13 and 31: two braid classes, one commutation class.  [23541]
 # has four words.  [2431] has 1232, 1323 and 3123, the first two in one braid
@@ -125,6 +147,14 @@ VIOLATIONS = [
      "[321]", [_doctored(BRAID, class_of=SPLIT)]),
     ("G_c(w) is not bipartite", "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
     ("G_b(w) is not bipartite", "[2143]", [_doctored(BRAID, class_of=MERGED)]),
+    ("the braid move 1232 - 3123 does not flip p_c and keep p_b",
+     "[2431]", [_doctored(BRAID, edges=_with_edge(0, 2))]),
+    ("the commutation move 1232 - 1323 does not flip p_b and keep p_c",
+     "[2431]", [_doctored(COMMUTATION, edges=_with_edge(0, 1))]),
+    ("the braid move 1232 - 1323 does not flip p_c and keep p_b",
+     "[2431]", [_doctored_parities(0, 2)]),
+    ("the commutation move 1323 - 3123 does not flip p_b and keep p_c",
+     "[2431]", [_doctored_parities(2, 2)]),
     ("the intersection table fails the jump property",
      "[321]", [_doctored(BRAID, class_of=SPLIT)]),
     ("bounds failed: b=1 c=1 r=2", "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
@@ -165,6 +195,24 @@ def test_every_checked_statement_reports_its_violation(monkeypatch, message, win
     for doctor in doctors:
         doctor(monkeypatch)
     assert message in verify_permutation(w).violations
+
+
+@pytest.mark.parametrize("window,doctor", [
+    ("[2431]", _doctored_parities(0, 1)),
+    ("[2431]", _doctored_parities(1, 3)),
+    ("[25314]", _doctored_parities(3, 2)),
+])
+def test_wrong_parities_leave_the_bipartite_verdicts_exact(monkeypatch, window, doctor):
+    # A parity array that breaks a move is reported, and the three verdicts
+    # fall back to the odd-cycle test, which finds nothing wrong.
+    w = parse_window(window)
+    doctor(monkeypatch)
+    an = graphs.analyse(w)
+    assert an.parity_break(BRAID) or an.parity_break(COMMUTATION)
+    assert an.class_graph_bipartite(BRAID) and an.class_graph_bipartite(COMMUTATION)
+    assert an.odd_braid_classes == ()
+    violations = verify_permutation(w).violations
+    assert violations and all(v.endswith(("keep p_b", "keep p_c")) for v in violations)
 
 
 def test_verify_permutation_enumeration_free():
