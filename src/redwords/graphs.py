@@ -220,7 +220,7 @@ class Analysis:
         """Move edges of one kind as (k, v) word-index pairs with k < v."""
         got = self._edges.get(kind)
         if got is None:
-            got = self._edges[kind] = move_edges(self.word_set.rows, kind)
+            got = self._edges[kind] = move_edges(self.word_set, kind)
         return got
 
     @lazy

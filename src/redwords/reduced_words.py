@@ -4,9 +4,9 @@ A reduced word is a sequence of 1-based generator indices, e.g. 12432.  One
 word on its own is a ``bytes`` object (``bytes((1, 2, 4, 3, 2))``); a whole
 R(w) is held as an (r, l) ``uint8`` letter matrix, one word per row, in
 lexicographic order.  Viewed as fixed-width byte strings (``row_keys``) the
-rows compare like ``memcmp``, which is lexicographic order for any n and l,
-so one ``np.searchsorted`` finds any word in the set.  numpy is imported on
-first use, so the enumeration-free parts of the package never load it.
+rows compare like ``memcmp``, which is lexicographic order for any n and l.
+numpy is imported on first use, so the enumeration-free parts of the package
+never load it.
 
 Enumeration uses the left-descent recursion: R(e) = {empty} and otherwise
 R(w) is the union over left descents a, in increasing order, of the letter a
@@ -14,9 +14,14 @@ followed by R(s_a w).  Words starting with different letters come from
 different descents, so the rows come out already sorted and duplicate-free;
 the element s_a w is memoised over the interval, so each element's words are
 built once.  Strict increase is asserted afterwards, and the row count is
-checked against the independent count recursion.  ``WordSet.parities`` runs
-a third recursion of the same shape, over inverse windows only, for the two
-inversion-order parities of every word.
+checked against the independent count recursion.  The walk also keeps its
+blocks (``Blocks``): for each element u of [e, w] and each left descent a,
+the element s_a u and the index in R(u) of the first word that starts with
+a.  The index of a word is then the sum of those offsets along its
+prefixes, which is how the move-edge generator finds a word's neighbours
+without a search.  ``WordSet.parities`` runs a third recursion of the same
+shape, over inverse windows only, for the two inversion-order parities of
+every word.
 """
 
 from __future__ import annotations
@@ -62,11 +67,14 @@ class WordSet:
     list as a tuple of ``bytes``, and ``texts`` as the list of their
     ``word_text``; each is decoded on first use.  ``text_chunks`` renders
     every text form of the set: the list, the lines and the JSON array.
+    ``blocks`` are those of the walk that built the rows, which the move
+    edges read; a set made from rows alone has none.
     """
 
-    def __init__(self, target: Permutation, rows):
+    def __init__(self, target: Permutation, rows, blocks: Blocks | None = None):
         self.target = target
         self.rows = rows
+        self.blocks = blocks
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -154,15 +162,43 @@ class WordSet:
             yield str(text.ravel().data[: text.size - len(sep)], "ascii")
 
 
-def letter_rows(words: Sequence[Sequence[int]]):
-    """The (len(words), l) ``uint8`` letter matrix of words that all have l letters."""
-    import numpy as np
+class Blocks:
+    """The blocks of the left-descent walk over [e, w], by element.
 
-    length = len(words[0]) if len(words) else 0
-    if any(len(u) != length for u in words):
-        raise ValueError("the words do not all have the same length")
-    flat = np.frombuffer(b"".join(bytes(u) for u in words), dtype=np.uint8)
-    return flat.reshape(len(words), length)
+    The walk numbers the elements of [e, w] in the order it finishes them,
+    so w, ``root``, is the last; one more row, -1, stands for no element and
+    has no words.  For element u and letter a < n, ``child[u, a]`` is s_a u
+    when a is a left descent of u and -1 otherwise, and ``offset[u, a]`` is
+    the index in R(u) of the first word that starts with a (0 when none
+    does).  Both are (elements + 1, n) integer arrays, made from the walk's
+    lists on first use.
+
+    The index in R(w) of a word a_1 ... a_l is the sum of offset[u_t, a_t+1]
+    over t, where u_0 = w and u_t+1 = child[u_t, a_t+1].
+
+    >>> from .permutation import from_window
+    >>> blocks = enumerate_words(from_window([3, 2, 1])).blocks
+    >>> blocks.child[blocks.root].tolist(), blocks.offset[blocks.root].tolist()
+    ([-1, 2, 4], [0, 0, 1])
+    """
+
+    def __init__(self, child: list[int], sizes: list[int], root: int, n: int):
+        # Per id: the n entries of its row of ``child``, and |R(u)|.
+        self._child, self._sizes = child, sizes
+        self.root, self.n = root, n
+
+    @lazy
+    def child(self):
+        import numpy as np
+
+        return np.array(self._child + [-1] * self.n, dtype=np.intp).reshape(-1, self.n)
+
+    @lazy
+    def offset(self):
+        import numpy as np
+
+        size = np.array(self._sizes + [0], dtype=np.intp).take(self.child)
+        return np.cumsum(size, axis=1) - size
 
 
 def row_keys(rows):
@@ -256,37 +292,44 @@ def _parities(inv: tuple[int, ...], memo: dict) -> tuple[int, int, int]:
     return got
 
 
-def _letter_matrix(inv: tuple[int, ...], memo: dict):
-    """R(u) as an (r, l) ``uint8`` matrix whose rows are in lexicographic order.
+def _letter_matrix(inv: tuple[int, ...], memo: dict, child: list, sizes: list):
+    """The id of u and R(u) as an (r, l) ``uint8`` matrix whose rows are in
+    lexicographic order.
 
     Takes the inverse window of u: a is a left descent of u exactly when the
     inverse has a descent at index a - 1, and s_a u swaps those two entries.
-    ``memo`` maps the inverse windows already done to their matrices.
+    ``memo`` maps the inverse windows already done to their (id, matrix).
+    Each element takes the next id when it is done, and appends its blocks:
+    to ``child`` the id of s_a u, or -1, for each letter a < len(inv), and to
+    ``sizes`` its number of words.
     """
     import numpy as np
 
     got = memo.get(inv)
     if got is not None:
         return got
-    blocks = []
+    n = len(inv)
+    kids, blocks, total = [-1] * n, [], 0
     lst = list(inv)
-    for i in range(len(inv) - 1):
+    for i in range(n - 1):
         if lst[i] > lst[i + 1]:
             lst[i], lst[i + 1] = lst[i + 1], lst[i]
-            blocks.append((i + 1, _letter_matrix(tuple(lst), memo)))
+            kids[i + 1], m = _letter_matrix(tuple(lst), memo, child, sizes)
+            blocks.append((i + 1, m))
+            total += len(m)
             lst[i], lst[i + 1] = lst[i + 1], lst[i]
     if not blocks:
-        got = np.empty((1, 0), dtype=np.uint8)
+        matrix = np.empty((1, 0), dtype=np.uint8)
     else:
-        got = np.empty(
-            (sum(len(m) for _, m in blocks), blocks[0][1].shape[1] + 1), dtype=np.uint8
-        )
+        matrix = np.empty((total, m.shape[1] + 1), dtype=np.uint8)
         start = 0
         for a, m in blocks:
-            got[start : start + len(m), 0] = a
-            got[start : start + len(m), 1:] = m
+            matrix[start : start + len(m), 0] = a
+            matrix[start : start + len(m), 1:] = m
             start += len(m)
-    memo[inv] = got
+    child += kids
+    sizes.append(len(matrix))
+    got = memo[inv] = (len(memo), matrix)
     return got
 
 
@@ -297,7 +340,9 @@ def enumerate_words(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> WordS
     ['12']
     """
     expected = count_words(w, cap=cap)
-    rows = _letter_matrix(w.inverse().window, {})
+    child: list[int] = []
+    sizes: list[int] = []
+    root, rows = _letter_matrix(w.inverse().window, {}, child, sizes)
     if len(rows) != expected:
         # The counting recursion and the letter-matrix recursion are
         # independent routes; disagreement means one of them is broken.
@@ -307,7 +352,7 @@ def enumerate_words(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> WordS
         )
     keys = row_keys(rows)
     assert (keys[1:] > keys[:-1]).all(), "duplicate words"
-    return WordSet(target=w, rows=rows)
+    return WordSet(target=w, rows=rows, blocks=Blocks(child, sizes, root, w.n))
 
 
 def word_text(word: Sequence[int]) -> str:

@@ -29,9 +29,15 @@ When every move edge does that, p_c 2-colours each braid class, and p_b
 Where that fails, the odd components of the bipartite double cover decide,
 so each verdict stays exact, and a move that breaks its parity is a
 ``graphs`` violation naming its two words.  The exact route ran on no
-permutation of S_1-S_7 under the cap.  On 2 vCPUs every check on all of S_7
-at 2 workers took 83 s with a peak of 430 MB per worker, against 105 s and
-769 MB when the double covers decided.
+permutation of S_1-S_7 under the cap.
+
+A pooled scan whose checks enumerate R(w) imports the word engine, and with
+it numpy, in this process before the pool forks, so that the workers inherit
+it instead of each importing it (0.13-0.17 s apiece); no other scan loads
+numpy.  The move edges come from the ranks of the enumeration walk, not from
+a search (``classes.move_edges``).  On 2 vCPUs every check on all of S_7 at
+2 workers takes 37-39 s with a peak of 430 MB per worker, against 73-75 s
+and 430 MB when the edges came from a binary search, run minutes apart.
 
 A scan that enumerates R(w) analyses it once per symmetry orbit {w, w^-1,
 w0 w w0, w0 w^-1 w0}: 230 orbits for the 720 permutations of S_6, 1,388 for
@@ -451,6 +457,10 @@ def scan(options: ScanOptions) -> ScanReport:
     # the core count add memory but no speed, so at most one per core starts.
     workers = min(options.workers, os.cpu_count() or 1)
     pooled = workers > 1 and len(todo) > 1
+    if pooled and options.checks & _ENUMERATING:
+        # The word engine and numpy, loaded once here, are inherited by every
+        # forked worker instead of imported again in each.
+        from . import graphs  # noqa: F401
     with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
         mapper = pool.map if pool else map
         # With a pool the pass runs in a worker, so its polynomials never add

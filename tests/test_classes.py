@@ -1,25 +1,38 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from redwords.classes import (
+    IndexPairs,
     braid_class_shape,
     class_closure,
+    move_edges,
     partition_with_edges,
     path_product_edge_count,
     verify_braid_class_graph,
 )
 from redwords.coxeter_moves import BRAID, COMMUTATION, neighbors
 from redwords.graphs import Analysis
-from redwords.permutation import all_permutations, identity, parse_window
+from redwords.permutation import (
+    all_permutations,
+    identity,
+    longest_element,
+    parse_window,
+)
 from redwords.reduced_words import (
     WordSet,
     enumerate_words,
-    letter_rows,
     parse_word,
+    row_keys,
     word_text,
 )
+
+
+def letter_rows(words):
+    """The letter matrix of words of one length, one word per row."""
+    return np.frombuffer(b"".join(map(bytes, words)), np.uint8).reshape(len(words), -1)
 
 
 def words_of(ws):
@@ -56,7 +69,7 @@ def test_partition_is_input_order_independent():
     ws = enumerate_words(w)
     shuffled = list(ws.words)
     random.Random(7).shuffle(shuffled)
-    ws2 = WordSet(target=w, rows=letter_rows(sorted(shuffled)))
+    ws2 = WordSet(target=w, rows=letter_rows(sorted(shuffled)), blocks=ws.blocks)
     for kind in (BRAID, COMMUTATION):
         assert Analysis(ws).partition(kind) == Analysis(ws2).partition(kind)
 
@@ -245,3 +258,82 @@ def test_a_set_missing_a_smaller_neighbour_is_not_closed():
     # up, so the missing 121 shows in the count of lowering moves.
     assert not verify_braid_class_graph([parse_word("212")], 3)
     assert verify_braid_class_graph([parse_word("121"), parse_word("212")], 3)
+
+
+def search_move_edges(rows, kind):
+    """Oracle: the move edges of a sorted letter matrix by binary search.
+
+    Each raising move is applied to a copy of the rows, and one
+    ``np.searchsorted`` per position finds the moved words among the rows,
+    seen as fixed-width byte strings; a moved word that is missing, or more
+    lowering than raising moves, raises KeyError.
+    """
+    keys = row_keys(rows)
+    span = 2 if kind == COMMUTATION else 3
+    none = np.empty(0, dtype=np.intp)
+    lower, upper, lowering = [none], [none], 0
+    for p in range(rows.shape[1] - span + 1):
+        a, b = rows[:, p], rows[:, p + 1]
+        if kind == COMMUTATION:
+            raising = (b > a) & (b - a > 1)
+            lowering += np.count_nonzero((a > b) & (a - b > 1))
+        else:
+            c = rows[:, p + 2]
+            raising = (a == c) & (b > a) & (b - a == 1)
+            lowering += np.count_nonzero((a == c) & (a > b) & (a - b == 1))
+        k = np.flatnonzero(raising)
+        moved = rows[k]
+        moved[:, p], moved[:, p + 1] = rows[k, p + 1], rows[k, p]
+        if kind == BRAID:
+            moved[:, p + 2] = moved[:, p]
+        wanted = row_keys(moved)
+        v = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        if not (keys[v] == wanted).all():
+            raise KeyError(f"the words are not closed under {kind} moves")
+        lower.append(k)
+        upper.append(v)
+    edges = IndexPairs(np.concatenate(lower), np.concatenate(upper))
+    if lowering != len(edges):
+        raise KeyError(f"the words are not closed under {kind} moves")
+    return edges
+
+
+def _ranked_against_search_sets():
+    for n in range(1, 6):
+        yield from all_permutations(n)
+    yield longest_element(6)
+    yield parse_window("[465321]")
+
+
+@pytest.mark.parametrize("kind", [BRAID, COMMUTATION])
+def test_ranked_move_edges_equal_the_search(kind):
+    # The same pairs in the same order, by position and then by word, with
+    # the same index type, on all of S_1-S_5, w0 of S_6 and [465321].
+    for w in _ranked_against_search_sets():
+        ws = enumerate_words(w)
+        got, want = move_edges(ws, kind), search_move_edges(ws.rows, kind)
+        assert got.u.dtype == want.u.dtype and got.v.dtype == want.v.dtype, w
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v), w
+
+
+@pytest.mark.parametrize("kind", [BRAID, COMMUTATION])
+def test_rows_that_are_not_the_walks_raise_key_error(kind):
+    # A word with a move of the kind, dropped or with one letter changed,
+    # leaves its neighbour without it: every such set must raise, never give
+    # an edge read at a wrong index.  A letter past the walk's letters must
+    # raise too, not index out of range.
+    ws = enumerate_words(longest_element(4))
+    assert len(move_edges(WordSet(ws.target, ws.rows.copy(), ws.blocks), kind))
+    doctored = 0
+    for i, word in enumerate(ws.words):
+        if not any(move.kind == kind for move, _ in neighbors(word)):
+            continue
+        squared = ws.rows.copy()
+        squared[i, 1] = squared[i, 0]  # a square: no longer a reduced word
+        far = ws.rows.copy()
+        far[i, -1] = 200
+        for rows in (np.delete(ws.rows, i, axis=0), squared, far):
+            with pytest.raises(KeyError):
+                move_edges(WordSet(ws.target, rows, ws.blocks), kind)
+        doctored += 1
+    assert doctored >= len(ws) // 2

@@ -293,6 +293,8 @@ def test_enumeration_free_paths_do_not_load_numpy():
         "from redwords.scan import ScanOptions, scan\n"
         "scan(ScanOptions(n=5, checks=frozenset({'weak_order'})))\n"
         "assert 'numpy' not in sys.modules, 'weak_order scan'\n"
+        "scan(ScanOptions(n=5, checks=frozenset({'weak_order'}), workers=2))\n"
+        "assert 'numpy' not in sys.modules, 'pooled weak_order scan'\n"
         "from redwords.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert run(['counts', '--n', '5']) == 0\n"

@@ -12,10 +12,14 @@ from redwords.reduced_words import (
     enumerate_words,
     evaluate,
     is_reduced,
-    letter_rows,
     parse_word,
     word_text,
 )
+
+
+def letter_rows(words):
+    """The letter matrix of words of one length, one word per row."""
+    return np.frombuffer(b"".join(map(bytes, words)), np.uint8).reshape(len(words), -1)
 
 
 def naive_word_set(w) -> tuple[bytes, ...]:

@@ -1,6 +1,9 @@
 import hashlib
 import importlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -548,6 +551,33 @@ def test_scan_jsonl_is_pinned_for_s4_and_s5(scan_s5):
 
 def test_scan_jsonl_is_pinned_for_s6(scan_s6):
     assert _sha256(scan_s6.report.jsonl()) == PINNED_JSONL_SHA256[6]
+
+
+def test_a_pool_forked_with_the_word_engine_loaded_writes_the_same_bytes(tmp_path):
+    # In a fresh process, with numpy not yet imported, a pooled scan with
+    # every check loads the word engine before its workers fork; its file
+    # must be byte for byte that of a scan at one worker.
+    repo_src = Path(__file__).resolve().parents[1] / "src"
+    pooled, serial = tmp_path / "pooled.jsonl", tmp_path / "serial.jsonl"
+    code = (
+        "import os, sys\n"
+        "from redwords.scan import ScanOptions, scan\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"pooled, serial = {str(pooled)!r}, {str(serial)!r}\n"
+        "scan(ScanOptions(n=5, workers=2, output_path=pooled))\n"
+        "if (os.cpu_count() or 1) > 1:\n"
+        "    assert 'redwords.graphs' in sys.modules, 'not loaded before the fork'\n"
+        "scan(ScanOptions(n=5, workers=1, output_path=serial))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(repo_src), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert pooled.read_bytes() == serial.read_bytes()
+    assert hashlib.sha256(pooled.read_bytes()).hexdigest() == PINNED_JSONL_SHA256[5]
 
 
 def test_scan_resume_requires_the_same_checks_and_cap(tmp_path, monkeypatch):
