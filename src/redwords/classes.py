@@ -11,12 +11,10 @@ labelling ``components`` and the odd-cycle test ``odd_components``.  The
 generator finds the neighbour of a word by rank arithmetic on the blocks of
 the enumeration walk (``reduced_words.Blocks``), checked against the rows,
 not by a search: on 2 vCPUs (Python 3.11, numpy 2.4) the commutation edges
-of w0 of S_6 take about 60 ms and those of ``[7362541]`` 0.4 s, against
-250 ms and 2.4 s by one ``np.searchsorted`` per position.  It works through
-the rows ``MOVE_BATCH`` at a time and writes the edges once, so it holds
-little beyond them.  ``verify_braid_class_graph``, which takes word lists
-that are no R(w), reads its moves from the word-level
-``coxeter_moves.neighbors``.
+of w0 of S_6 take 45-56 ms and those of ``[7362541]`` 0.60-0.63 s, against
+0.18-0.25 s and 2.0-2.2 s by one ``np.searchsorted`` per position.
+``verify_braid_class_graph``, which takes word lists that are no R(w),
+reads its moves from the word-level ``coxeter_moves.neighbors``.
 """
 
 from __future__ import annotations
@@ -111,10 +109,6 @@ def odd_components(n: int, edges: IndexPairs | Iterable[tuple[int, int]]):
     return np.unique(root[:n][root[:n] == root[n:]])
 
 
-# Rows per batch of ``move_edges``.
-MOVE_BATCH = 1 << 16
-
-
 def move_edges(word_set: WordSet, kind: str) -> IndexPairs:
     """All index pairs (k, v), k < v, of words one move of the given kind apart.
 
@@ -127,75 +121,54 @@ def move_edges(word_set: WordSet, kind: str) -> IndexPairs:
     first two moved letters alone (``_jumps``).
 
     Each index is checked: the row there must be the moved word, so rows
-    that are not the walk's, with a word missing or changed, raise KeyError
-    and never give a wrong edge.  Lowering moves are only counted: the rows
-    are closed exactly when every raising move is found and there are as
-    many lowering moves, since each edge is one of each.
+    that are not R(w), with a word missing or changed, raise KeyError and
+    never give a wrong edge.  Lowering moves are only counted: the rows are
+    closed exactly when every raising move is found and there are as many
+    lowering moves, since each edge is one of each.
     """
     if kind not in (BRAID, COMMUTATION):
         raise ValueError(f"unknown move kind {kind!r}")
     rows, blocks = word_set.rows, word_set.blocks
-    r, length = rows.shape
-    n = blocks.child.shape[1]
-    batches = [rows[start : start + MOVE_BATCH] for start in range(0, r, MOVE_BATCH)]
-    # A first pass counts the moves, so that the edges are written once, by
-    # position and then by word, into arrays of their final size.
-    span = 2 if kind == COMMUTATION else 3
-    counts, lowering = np.zeros(max(0, length - span + 1), dtype=np.intp), 0
-    for part in batches:
-        moves = _letter_moves(part, kind)
-        counts += np.count_nonzero(moves[1], axis=1)
-        lowering += moves[2]
-    if lowering != counts.sum():
-        raise KeyError(f"the words are not closed under {kind} moves")
-    edges = IndexPairs(np.empty(lowering, dtype=np.intp), np.empty(lowering, dtype=np.intp))
-    if not lowering:
-        return edges
-    fill = (np.cumsum(counts) - counts).tolist()  # the next slot of each position
-    jumps = _jumps(blocks, kind)
+    n, r = blocks.n, len(rows)
+    # Each position contiguous; as int8 the difference of two letters below
+    # 128 does not wrap.
+    letters = rows.T.astype(np.int8, order="C")
     # Element ids times n, so that u * n + a is the cell of letter a after u.
-    # A cell out of range, which only rows that are not the walk's reach,
-    # wraps round, and the check catches whatever jump is read there.
+    # A cell out of range, which only rows that are not R(w) reach, wraps
+    # round, and the check catches whatever jump is read there.
     step = (blocks.child * n).ravel().astype(np.int32)
-    start = 0
-    for part in batches:
-        if len(batches) > 1:  # else the one batch's moves are at hand
-            moves = _letter_moves(part, kind)
-        letters, raising, _ = moves
-        at = np.full(len(part), blocks.root * n, dtype=np.int32)
-        cell = np.empty_like(at)
-        for p, mask in enumerate(raising):
-            np.add(at, letters[p], out=cell)
-            k = mask.nonzero()[0]
-            if len(k):
-                v = jumps.take(cell.take(k) * n + letters[p + 1].take(k), mode="wrap")
-                k += start
-                v += k
-                np.minimum(v, r - 1, out=v)  # jumps are at least 0, so v is an index
-                _check_moves(rows, k, v, p, kind)
-                edges.u[fill[p] : fill[p] + len(k)] = k
-                edges.v[fill[p] : fill[p] + len(k)] = v
-                fill[p] += len(k)
-            step.take(cell, out=at, mode="wrap")
-        start += len(part)
+    at = np.full(r, blocks.root * n, dtype=np.int32)
+    cell = np.empty_like(at)
+    jumps = None
+    span = 2 if kind == COMMUTATION else 3
+    none = np.empty(0, dtype=np.intp)
+    lower, upper, lowering = [none], [none], 0
+    for p in range(len(letters) - span + 1):
+        a, b = letters[p], letters[p + 1]
+        diff = b - a
+        if kind == COMMUTATION:
+            raising = diff > 1  # ab -> ba
+            lowering += np.count_nonzero(diff < -1)
+        else:
+            equal = letters[p + 2] == a  # first and third letters equal
+            raising = equal & (diff == 1)  # a(a+1)a -> (a+1)a(a+1)
+            lowering += np.count_nonzero(equal & (diff == -1))
+        np.add(at, a, out=cell)
+        k = raising.nonzero()[0]
+        if len(k):
+            if jumps is None:
+                jumps = _jumps(blocks, kind)
+            v = jumps.take(cell.take(k) * n + b.take(k), mode="wrap")
+            v += k
+            np.minimum(v, r - 1, out=v)  # jumps are at least 0, so v is an index
+            _check_moves(rows, k, v, p, kind)
+            lower.append(k)
+            upper.append(v)
+        step.take(cell, out=at, mode="wrap")
+    edges = IndexPairs(np.concatenate(lower), np.concatenate(upper))
+    if lowering != len(edges):
+        raise KeyError(f"the words are not closed under {kind} moves")
     return edges
-
-
-def _letter_moves(part, kind: str):
-    """The letters of some rows position by position, as int8 with each
-    position contiguous; the raising moves of the kind by position, as a
-    mask; and the number of lowering moves.
-
-    As int8, the difference of two letters below 128 does not wrap.
-    """
-    letters = part.T.astype(np.int8, order="C")
-    diff = letters[1:] - letters[:-1]
-    if kind == COMMUTATION:
-        return letters, diff > 1, np.count_nonzero(diff < -1)  # ab -> ba
-    raising = letters[2:] == letters[:-2]  # first and third letters equal
-    lowering = np.count_nonzero(raising & (diff[:-1] == -1))
-    raising &= diff[:-1] == 1  # a(a+1)a -> (a+1)a(a+1)
-    return letters, raising, lowering
 
 
 def _check_moves(rows, k, v, p: int, kind: str) -> None:

@@ -67,14 +67,20 @@ class WordSet:
     list as a tuple of ``bytes``, and ``texts`` as the list of their
     ``word_text``; each is decoded on first use.  ``text_chunks`` renders
     every text form of the set: the list, the lines and the JSON array.
-    ``blocks`` are those of the walk that built the rows, which the move
-    edges read; a set made from rows alone has none.
+    ``blocks`` are those of the walk over [e, target], which the move edges
+    read: the walk's that built the rows when given, else walked again on
+    first use.
     """
 
     def __init__(self, target: Permutation, rows, blocks: Blocks | None = None):
         self.target = target
         self.rows = rows
-        self.blocks = blocks
+        if blocks is not None:
+            self.blocks = blocks
+
+    @lazy
+    def blocks(self) -> Blocks:
+        return enumerate_words(self.target).blocks
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -183,22 +189,28 @@ class Blocks:
     """
 
     def __init__(self, child: list[int], sizes: list[int], root: int, n: int):
-        # Per id: the n entries of its row of ``child``, and |R(u)|.
-        self._child, self._sizes = child, sizes
+        # Per id: the n entries of its row of ``child``, and |R(u)|; dropped
+        # when the arrays are made.
+        self._lists = child, sizes
         self.root, self.n = root, n
 
     @lazy
     def child(self):
-        import numpy as np
-
-        return np.array(self._child + [-1] * self.n, dtype=np.intp).reshape(-1, self.n)
+        return self._arrays()[0]
 
     @lazy
     def offset(self):
+        return self._arrays()[1]
+
+    def _arrays(self):
         import numpy as np
 
-        size = np.array(self._sizes + [0], dtype=np.intp).take(self.child)
-        return np.cumsum(size, axis=1) - size
+        child, sizes = self._lists
+        del self._lists
+        self.child = np.array(child + [-1] * self.n, dtype=np.intp).reshape(-1, self.n)
+        size = np.array(sizes + [0], dtype=np.intp).take(self.child)
+        self.offset = np.cumsum(size, axis=1) - size
+        return self.child, self.offset
 
 
 def row_keys(rows):

@@ -33,11 +33,14 @@ permutation of S_1-S_7 under the cap.
 
 A pooled scan whose checks enumerate R(w) imports the word engine, and with
 it numpy, in this process before the pool forks, so that the workers inherit
-it instead of each importing it (0.13-0.17 s apiece); no other scan loads
-numpy.  The move edges come from the ranks of the enumeration walk, not from
-a search (``classes.move_edges``).  On 2 vCPUs every check on all of S_7 at
-2 workers takes 37-39 s with a peak of 430 MB per worker, against 73-75 s
-and 430 MB when the edges came from a binary search, run minutes apart.
+it instead of each importing it (0.13-0.17 s apiece).  Only fork hands it
+on, so on Linux that pool is pinned to fork whatever the interpreter's
+default (forkserver from Python 3.14); elsewhere it keeps the default and
+its workers import the engine themselves.  No other scan loads numpy.  The
+move edges come from the ranks of the enumeration walk, not from a search
+(``classes.move_edges``).  On 2 vCPUs every check on all of S_7 at 2
+workers takes 33-38 s with a peak of 431 MB per worker, against 71-74 s and
+431-433 MB when the edges came from a binary search, run minutes apart.
 
 A scan that enumerates R(w) analyses it once per symmetry orbit {w, w^-1,
 w0 w w0, w0 w^-1 w0}: 230 orbits for the 720 permutations of S_6, 1,388 for
@@ -70,7 +73,9 @@ and 28 MB for n = 8, 6.1-7.2 s and 128 MB for n = 9, and 77-86 s and
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
@@ -457,11 +462,16 @@ def scan(options: ScanOptions) -> ScanReport:
     # the core count add memory but no speed, so at most one per core starts.
     workers = min(options.workers, os.cpu_count() or 1)
     pooled = workers > 1 and len(todo) > 1
-    if pooled and options.checks & _ENUMERATING:
+    context = None
+    if pooled and options.checks & _ENUMERATING and sys.platform == "linux":
         # The word engine and numpy, loaded once here, are inherited by every
-        # forked worker instead of imported again in each.
+        # forked worker instead of imported again in each.  Only fork passes
+        # them on, and Python 3.14 makes forkserver the default, so the pool
+        # is pinned to fork; elsewhere the workers import them as before.
         from . import graphs  # noqa: F401
-    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
+
+        context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) if pooled else nullcontext() as pool:
         mapper = pool.map if pool else map
         # With a pool the pass runs in a worker, so its polynomials never add
         # to the peak of this process, which holds every record; pool.map

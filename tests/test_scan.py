@@ -271,11 +271,12 @@ def test_scan_worker_determinism():
 def test_scan_starts_at_most_one_worker_per_cpu(monkeypatch):
     # A stand-in pool records its size and runs the work in this process,
     # so no worker is ever forked here.
-    started, mapped = [], []
+    started, mapped, contexts = [], [], []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             started.append(max_workers)
+            contexts.append(mp_context)
 
         def __enter__(self):
             return self
@@ -295,6 +296,10 @@ def test_scan_starts_at_most_one_worker_per_cpu(monkeypatch):
     monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 3)
     assert scan(ScanOptions(n=5, workers=100_000)).jsonl() == expected
     assert started == [3]
+    # Every check enumerates R(w), so on Linux the pool is pinned to fork,
+    # which alone hands the workers the word engine loaded here.
+    if sys.platform == "linux":
+        assert contexts[0].get_start_method() == "fork"
     # The width pass, then the batches, sized for three workers: one
     # permutation each, then two each.
     assert mapped[0] == [5]
@@ -303,6 +308,11 @@ def test_scan_starts_at_most_one_worker_per_cpu(monkeypatch):
     monkeypatch.setattr(scan_module.os, "cpu_count", lambda: None)
     assert scan(ScanOptions(n=5, workers=100_000)).jsonl() == expected
     assert started == [3]
+
+    # A scan that never enumerates keeps the platform's default start method.
+    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 2)
+    scan(ScanOptions(n=5, checks=frozenset({"weak_order"}), workers=2))
+    assert started == [3, 2] and contexts[-1] is None
 
 
 @pytest.mark.parametrize("n,workers", [(4, 3), (6, 2), (8, 2)])
@@ -565,7 +575,7 @@ def test_a_pool_forked_with_the_word_engine_loaded_writes_the_same_bytes(tmp_pat
         "assert 'numpy' not in sys.modules\n"
         f"pooled, serial = {str(pooled)!r}, {str(serial)!r}\n"
         "scan(ScanOptions(n=5, workers=2, output_path=pooled))\n"
-        "if (os.cpu_count() or 1) > 1:\n"
+        "if (os.cpu_count() or 1) > 1 and sys.platform == 'linux':\n"
         "    assert 'redwords.graphs' in sys.modules, 'not loaded before the fork'\n"
         "scan(ScanOptions(n=5, workers=1, output_path=serial))\n"
     )
