@@ -13,8 +13,13 @@ the enumeration walk (``reduced_words.Blocks``), checked against the rows,
 not by a search: on 2 vCPUs (Python 3.11, numpy 2.4) the commutation edges
 of w0 of S_6 take 45-56 ms and those of ``[7362541]`` 0.60-0.63 s, against
 0.18-0.25 s and 2.0-2.2 s by one ``np.searchsorted`` per position.
-``verify_braid_class_graph``, which takes word lists that are no R(w),
-reads its moves from the word-level ``coxeter_moves.neighbors``.
+``commutation_partition`` labels the commutation classes without their
+edges: each word points one move down towards its class's normal form, by
+the same rank arithmetic, and the classes of w0 of S_6 take 33-44 ms and
+those of ``[7362541]`` 0.25-0.33 s, against 76 ms and 0.66 s for the
+components of their edges.  ``verify_braid_class_graph``, which takes word
+lists that are no R(w), reads its moves from the word-level
+``coxeter_moves.neighbors``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 
 from .coxeter_moves import BRAID, COMMUTATION, neighbors
 from .permutation import lazy
-from .reduced_words import Blocks, Word, WordSet
+from .reduced_words import Blocks, Word, WordSet, row_keys
 
 
 class IndexPairs:
@@ -75,15 +80,26 @@ def _roots(n: int, lo, hi):
         if not len(hi):
             return root
         np.minimum.at(root, hi, lo)
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
+        root = _jumped(root)
         hi = root[hi]
         lo = root[lo]
         flip = hi < lo
         hi[flip], lo[flip] = lo[flip], hi[flip]
+
+
+def _jumped(root):
+    """The pointers followed until each vertex points at a vertex that
+    points at itself."""
+    while True:
+        jumped = root[root]
+        if np.array_equal(jumped, root):
+            return root
+        root = jumped
+
+
+def _numbered(root):
+    """Each vertex's root renumbered 0, 1, ... in the order of the roots."""
+    return (np.cumsum(root == np.arange(len(root))) - 1)[root]
 
 
 def components(n: int, edges: IndexPairs | Iterable[tuple[int, int]]):
@@ -92,8 +108,7 @@ def components(n: int, edges: IndexPairs | Iterable[tuple[int, int]]):
     Components are numbered in the order of their least vertex.
     """
     e = IndexPairs.of(edges)
-    root = _roots(n, np.minimum(e.u, e.v), np.maximum(e.u, e.v))
-    return (np.cumsum(root == np.arange(n)) - 1)[root]
+    return _numbered(_roots(n, np.minimum(e.u, e.v), np.maximum(e.u, e.v)))
 
 
 def odd_components(n: int, edges: IndexPairs | Iterable[tuple[int, int]]):
@@ -130,20 +145,12 @@ def move_edges(word_set: WordSet, kind: str) -> IndexPairs:
         raise ValueError(f"unknown move kind {kind!r}")
     rows, blocks = word_set.rows, word_set.blocks
     n, r = blocks.n, len(rows)
-    # Each position contiguous; as int8 the difference of two letters below
-    # 128 does not wrap.
-    letters = rows.T.astype(np.int8, order="C")
-    # Element ids times n, so that u * n + a is the cell of letter a after u.
-    # A cell out of range, which only rows that are not R(w) reach, wraps
-    # round, and the check catches whatever jump is read there.
-    step = (blocks.child * n).ravel().astype(np.int32)
-    at = np.full(r, blocks.root * n, dtype=np.int32)
-    cell = np.empty_like(at)
-    jumps = None
+    letters = _letters(rows)
     span = 2 if kind == COMMUTATION else 3
+    jumps = None
     none = np.empty(0, dtype=np.intp)
     lower, upper, lowering = [none], [none], 0
-    for p in range(len(letters) - span + 1):
+    for p, cell in _walk(blocks, letters, len(letters) - span + 1):
         a, b = letters[p], letters[p + 1]
         diff = b - a
         if kind == COMMUTATION:
@@ -153,7 +160,6 @@ def move_edges(word_set: WordSet, kind: str) -> IndexPairs:
             equal = letters[p + 2] == a  # first and third letters equal
             raising = equal & (diff == 1)  # a(a+1)a -> (a+1)a(a+1)
             lowering += np.count_nonzero(equal & (diff == -1))
-        np.add(at, a, out=cell)
         k = raising.nonzero()[0]
         if len(k):
             if jumps is None:
@@ -164,11 +170,88 @@ def move_edges(word_set: WordSet, kind: str) -> IndexPairs:
             _check_moves(rows, k, v, p, kind)
             lower.append(k)
             upper.append(v)
-        step.take(cell, out=at, mode="wrap")
     edges = IndexPairs(np.concatenate(lower), np.concatenate(upper))
     if lowering != len(edges):
         raise KeyError(f"the words are not closed under {kind} moves")
     return edges
+
+
+def commutation_partition(word_set: WordSet) -> ClassPartition:
+    """C(w), from pointers to each class's normal form instead of move edges.
+
+    Each class has one word with no factor x y, x > y + 1 (Anisimov-Knuth:
+    the rewriting x y -> y x lowers a word, and every overlap joins, so by
+    Newman's lemma it reaches one normal form), and that word is the least
+    of its class, since every other word has a smaller one in it.  So every
+    other word points at the word with its first such factor swapped, which
+    is one commutation move lower, and pointer jumping takes each word to
+    its class's least word: classes are numbered by least word, as
+    ``components`` numbers the components of the move edges.
+
+    The pointer is the word's index less the ``_jumps`` entry of the move
+    up from the lower word, and each is checked against its row as in
+    ``move_edges``.  Rows that are not R(w) raise KeyError: each must be a
+    path of left descents down from w, as the walk's last step shows, and
+    they must be strictly increasing and as many as the walk's words.
+    """
+    rows, blocks = word_set.rows, word_set.blocks
+    n, r = blocks.n, len(rows)
+    keys = row_keys(rows)
+    if r != blocks.size or not (keys[1:] > keys[:-1]).all():
+        raise KeyError(f"the {r} rows are not the {blocks.size} words of the walk")
+    if rows.size and not 1 <= rows.min() <= rows.max() < n:
+        raise KeyError(f"the rows have letters outside 1..{n - 1}")
+    root = np.arange(r)
+    jumps = None
+    letters = _letters(rows)
+    for p, cell in _walk(blocks, letters, len(letters)):
+        if p + 1 == len(letters):
+            # A row that takes a step that is no left descent stays at the
+            # element -1, which has none, so the last step shows it.
+            if (blocks.child.take(cell, mode="wrap") < 0).any():
+                raise KeyError("a row is not a reduced word of w")
+            break
+        a, b = letters[p], letters[p + 1]
+        diff = b - a
+        k = (diff < -1).nonzero()[0]  # ab -> ba lowers the word
+        k = k[root.take(k) == k]  # the first such factor of each word
+        if len(k):
+            if jumps is None:
+                jumps = _jumps(blocks, COMMUTATION)
+            # The cell of the lower word, which has b at p, is cell + diff.
+            v = (cell.take(k) + diff.take(k)) * n
+            v += a.take(k)
+            v = k - jumps.take(v, mode="wrap")
+            np.maximum(v, 0, out=v)
+            _check_moves(rows, v, k, p, COMMUTATION)
+            root[k] = v
+    return ClassPartition(COMMUTATION, word_set, _numbered(_jumped(root)))
+
+
+def _letters(rows):
+    """The letter matrix by position, each contiguous, as int8: the
+    difference of two letters below 128 does not wrap."""
+    return rows.T.astype(np.int8, order="C")
+
+
+def _walk(blocks: Blocks, letters, positions: int):
+    """For each of the first ``positions`` positions p of the words: p, and
+    the cell u * n + a of each word, where a is its letter at p and u the
+    element that its letters before p lead to from w.
+
+    Element ids are kept times n, so that the cell indexes ``Blocks.child``
+    flat.  A cell out of range, which only rows that are not R(w) reach,
+    wraps round, and the callers' checks catch whatever is read there.  The
+    cells are one array, overwritten at the next position.
+    """
+    n = blocks.n
+    step = (blocks.child * n).ravel().astype(np.int32)
+    at = np.full(letters.shape[1], blocks.root * n, dtype=np.int32)
+    cell = np.empty_like(at)
+    for p in range(positions):
+        np.add(at, letters[p], out=cell)
+        yield p, cell
+        step.take(cell, out=at, mode="wrap")
 
 
 def _check_moves(rows, k, v, p: int, kind: str) -> None:
@@ -248,7 +331,8 @@ class ClassPartition:
 
 
 def partition_with_edges(word_set: WordSet, kind: str) -> tuple[ClassPartition, IndexPairs]:
-    """Partition plus the move edges that induced it (useful in bulk checks)."""
+    """Partition plus the move edges that induced it: the braid classes of
+    ``graphs.Analysis``, and the tests' route to the commutation classes."""
     edges = move_edges(word_set, kind)
     # Word indices are in lexicographic order and components are numbered by
     # their least member, so class ids follow the minimal words.

@@ -12,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .reduced_words import Word
-
-BRAID = "braid"
-COMMUTATION = "commutation"
+from .reduced_words import BRAID, COMMUTATION, Word
 
 
 @dataclass(frozen=True)

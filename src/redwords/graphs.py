@@ -22,6 +22,7 @@ from .classes import (
     ClassPartition,
     IndexPairs,
     braid_class_shape,
+    commutation_partition,
     components,
     move_edges,
     odd_components,
@@ -31,12 +32,16 @@ from .classes import (
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation
 from .permutation import Permutation, lazy
-from .reduced_words import DEFAULT_WORD_CAP, WordSet, enumerate_words, word_text
+from .reduced_words import (
+    DEFAULT_WORD_CAP,
+    FLIPS,
+    WordSet,
+    certify_parities,
+    enumerate_words,
+    word_text,
+)
 
 INCIDENCE = "incidence"
-
-# The bit of ``WordSet.parities`` that a move of each kind flips.
-_FLIPS = {COMMUTATION: 1, BRAID: 2}
 
 
 class Edge(NamedTuple):
@@ -186,17 +191,21 @@ class Analysis:
     """One permutation's R(w), read by every caller that needs more than words.
 
     Each partition and each kind's move edges are built the first time they
-    are asked for, so a caller pays only for what it reads: a partition keeps
-    the move edges that induced it, and edges asked for first are found
-    without labelling their components.  The pair set holds the distinct
+    are asked for, so a caller pays only for what it reads.  The braid
+    partition keeps the move edges that induced it; the commutation
+    partition comes from pointers to normal forms and builds no edges
+    (``commutation_partition``).  The pair set holds the distinct
     (braid class, commutation class) pairs of the words: the edges of
     Gamma(w) and the filled cells of T(w).  Every answer the scan reads is
     kept once computed, so the scan can read one analysis for each window of
-    a symmetry orbit.
+    a symmetry orbit.  ``certified`` is the set of elements that
+    ``certify_parities`` skips and fills, shared by the analyses of one scan
+    worker; by default the walk starts afresh.
     """
 
-    def __init__(self, word_set: WordSet):
+    def __init__(self, word_set: WordSet, certified: set | None = None):
         self.word_set = word_set
+        self._certified = certified
         self._partitions: dict[str, ClassPartition] = {}
         self._edges: dict[str, IndexPairs] = {}
         self._bipartite: dict[str, bool] = {}
@@ -212,7 +221,10 @@ class Analysis:
         """
         got = self._partitions.get(kind)
         if got is None:
-            got, self._edges[kind] = partition_with_edges(self.word_set, kind)
+            if kind == COMMUTATION:
+                got = commutation_partition(self.word_set)
+            else:
+                got, self._edges[kind] = partition_with_edges(self.word_set, kind)
             self._partitions[kind] = got
         return got
 
@@ -264,28 +276,40 @@ class Analysis:
         got = self._bipartite.get(kind)
         if got is None:
             other = BRAID if kind == COMMUTATION else COMMUTATION
-            if self.parity_break(other) is None and self._constant_on_classes(kind, _FLIPS[other]):
+            if self.parity_break(other) is None and self._constant_on_classes(kind, FLIPS[other]):
                 got = True
             else:
                 got = not len(odd_components(len(self.partition(kind)), self.class_edges(kind)))
             self._bipartite[kind] = got
         return got
 
+    @lazy
+    def parity_failures(self) -> dict[str, tuple[tuple[int, ...], bytes]]:
+        """The first move of each kind, at an element of [e, w], that breaks
+        its parities (``certify_parities``); empty when every move edge of
+        R(w) is certified to flip its bit and keep the other."""
+        return certify_parities(self.word_set.target, self._certified, self.word_set.flips)
+
     def parity_break(self, kind: str) -> tuple[str, str] | None:
         """The texts of the two words of the first move of one kind that does
         not flip its own parity bit and keep the other, or None.
 
         A braid move flips p_c and a commutation move p_b (``WordSet.parities``):
-        a move that does not is a wrong move edge.
+        a move that does not is a wrong move edge.  None without a move edge
+        when the certificate holds for the kind; otherwise every move edge of
+        the kind is tested, by position and then by word.
         """
         if kind not in self._breaks:
-            par, moves = self.word_set.parities, self.edges(kind)
-            bad = np.flatnonzero((par[moves.u] ^ par[moves.v]) != _FLIPS[kind])
             self._breaks[kind] = None
-            if len(bad):
-                rows = self.word_set.rows
-                k = bad[0]
-                self._breaks[kind] = (word_text(rows[moves.u[k]]), word_text(rows[moves.v[k]]))
+            if kind in self.parity_failures:
+                par, moves = self.word_set.parities, self.edges(kind)
+                bad = np.flatnonzero((par[moves.u] ^ par[moves.v]) != FLIPS[kind])
+                if len(bad):
+                    rows = self.word_set.rows
+                    k = bad[0]
+                    self._breaks[kind] = (
+                        word_text(rows[moves.u[k]]), word_text(rows[moves.v[k]])
+                    )
         return self._breaks[kind]
 
     def _constant_on_classes(self, kind: str, mask: int) -> bool:
@@ -358,9 +382,12 @@ def _distinct_pairs(a, b) -> IndexPairs:
     return IndexPairs(*np.divmod(keys[first], m))
 
 
-def analyse(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> Analysis:
-    """Enumerate R(w) under the cap (WordCapExceeded above it) for analysis."""
-    return Analysis(enumerate_words(w, cap=cap))
+def analyse(
+    w: Permutation, cap: int | None = DEFAULT_WORD_CAP, certified: set | None = None
+) -> Analysis:
+    """Enumerate R(w) under the cap (WordCapExceeded above it) for analysis;
+    ``certified`` as in ``Analysis``."""
+    return Analysis(enumerate_words(w, cap=cap), certified)
 
 
 _EDGE_STYLE = {COMMUTATION: "solid", BRAID: "dashed", INCIDENCE: "solid"}

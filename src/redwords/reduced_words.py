@@ -21,7 +21,9 @@ a.  The index of a word is then the sum of those offsets along its
 prefixes, which is how the move-edge generator finds a word's neighbours
 without a search.  ``WordSet.parities`` runs a third recursion of the same
 shape, over inverse windows only, for the two inversion-order parities of
-every word.
+every word, and ``certify_parities`` walks [e, w] once more with the same
+flip constants to show that every move edge of R(w) flips the parity of its
+kind and keeps the other.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ from .errors import WordCapExceeded
 from .permutation import Permutation, lazy
 
 Word = bytes
+
+BRAID = "braid"
+COMMUTATION = "commutation"
+
+# The parity bits of ``WordSet.parities`` that a move of each kind flips.
+FLIPS = {COMMUTATION: 1, BRAID: 2}
 
 # The longest element of S_7 has about 1.1e9 reduced words; anything past a
 # couple million is out of desk scale, so the default cap skips those.
@@ -124,7 +132,7 @@ class WordSet:
         """
         import numpy as np
 
-        r, p_b, p_c = _parities(self.target.inverse().window, {})
+        r, p_b, p_c = _parities(self.target.inverse().window, {}, self.flips)
         if r != len(self):
             raise AssertionError(f"{r} parities for {len(self)} words")
         size = (r + 7) // 8
@@ -134,6 +142,13 @@ class WordSet:
             return np.unpackbits(packed, count=r, bitorder="little")
 
         return bits(p_b) | bits(p_c) << 1
+
+    @lazy
+    def flips(self) -> dict:
+        """The ``_flips`` of the elements of [e, target] read so far, by
+        inverse window: filled by ``parities`` and by the certificate of the
+        analysis of this set (``certify_parities``), whichever comes first."""
+        return {}
 
     def text_chunks(self, sep: str, quote: str) -> Iterator[str]:
         """The words as text, ``TEXT_BATCH`` rows per chunk: each word is
@@ -172,11 +187,11 @@ class Blocks:
     """The blocks of the left-descent walk over [e, w], by element.
 
     The walk numbers the elements of [e, w] in the order it finishes them,
-    so w, ``root``, is the last; one more row, -1, stands for no element and
-    has no words.  For element u and letter a < n, ``child[u, a]`` is s_a u
-    when a is a left descent of u and -1 otherwise, and ``offset[u, a]`` is
-    the index in R(u) of the first word that starts with a (0 when none
-    does).  Both are (elements + 1, n) integer arrays, made from the walk's
+    so w, ``root``, is the last, with ``size`` words; one more row, -1,
+    stands for no element and has no words.  For element u and letter
+    a < n, ``child[u, a]`` is s_a u when a is a left descent of u and -1
+    otherwise, and ``offset[u, a]`` is the index in R(u) of the first word
+    that starts with a (0 when none does).  Both are (elements + 1, n) integer arrays, made from the walk's
     lists on first use.
 
     The index in R(w) of a word a_1 ... a_l is the sum of offset[u_t, a_t+1]
@@ -193,6 +208,7 @@ class Blocks:
         # when the arrays are made.
         self._lists = child, sizes
         self.root, self.n = root, n
+        self.size = sizes[root]  # |R(w)|
 
     @lazy
     def child(self):
@@ -254,54 +270,159 @@ def _count(win: tuple[int, ...], memo: dict[tuple[int, ...], int]) -> int:
     return memo[win]
 
 
-def _parities(inv: tuple[int, ...], memo: dict) -> tuple[int, int, int]:
+def _parities(inv: tuple[int, ...], memo: dict, flips: dict) -> tuple[int, int, int]:
     """(r, p_b, p_c) of R(u), for the inverse window of u.
 
     A reduced word lists the inversions of u, as value pairs, in the order
     its steps swap them; against the lexicographic order of the pairs, p_b
     counts the disjoint pairs listed in reverse and p_c the overlapping ones,
     mod 2.  Bit k of the ints p_b and p_c is that parity of the k-th word of
-    R(u) in lexicographic order.
-
-    The words of u that start with a left descent a are a followed by the
-    words of s_a u, whose inversions are those of u but (a, a+1), relabelled
-    by s_a.  With p = pos(a) > q = pos(a+1), (a, a+1) is listed first, so it
-    is in reverse with the ``below`` inversions (x, y), x < a, of which
-    X_p + X_q overlap it: X_p with pos(x) > p and X_q with pos(x) > q.  The
-    relabelling reverses X_p overlapping pairs (x, a), (x, a+1), and the
-    A * B pairs (a, y), (a+1, y') with y, y' > a+1, pos(y) < q and
-    pos(y') < p, of which the A with y = y' overlap.  So the block flips p_b
-    by below - X_p - X_q + A (B - 1) and p_c by X_q + A, mod 2.  ``memo``
-    maps the inverse windows already done.
+    R(u) in lexicographic order.  The words that start with a left descent a
+    are a followed by the words of s_a u, with both parities flipped by the
+    constants of ``_flips``.  ``memo`` maps the inverse windows already done,
+    and ``flips`` those whose constants were read to them.
     """
     got = memo.get(inv)
     if got is not None:
         return got
     r = p_b = p_c = 0
-    below = 0  # the inversions (x, y) of u with x < a
     lst = list(inv)
-    for i in range(len(inv) - 1):
-        p, q = inv[i], inv[i + 1]  # the positions of a = i + 1 and a + 1
-        if p > q:
-            left, right = inv[:i], inv[i + 2 :]
-            x_p = sum(1 for pos in left if pos > p)
-            x_q = sum(1 for pos in left if pos > q)
-            y_a = sum(1 for pos in right if pos < q)  # A
-            y_b = sum(1 for pos in right if pos < p)  # B
-            lst[i], lst[i + 1] = q, p
-            m, b, c = _parities(tuple(lst), memo)
-            lst[i], lst[i + 1] = p, q
-            ones = (1 << m) - 1
-            if (below - x_p - x_q + y_a * (y_b - 1)) & 1:
-                b ^= ones
-            if (x_q + y_a) & 1:
-                c ^= ones
-            p_b |= b << r
-            p_c |= c << r
-            r += m
-        below += sum(1 for pos in inv[i + 1 :] if pos < p)
+    for i, flip in enumerate(_flips_of(inv, flips)):
+        if flip < 0:
+            continue
+        lst[i], lst[i + 1] = lst[i + 1], lst[i]
+        m, b, c = _parities(tuple(lst), memo, flips)
+        lst[i], lst[i + 1] = lst[i + 1], lst[i]
+        ones = (1 << m) - 1
+        if flip & 1:
+            b ^= ones
+        if flip & 2:
+            c ^= ones
+        p_b |= b << r
+        p_c |= c << r
+        r += m
     memo[inv] = got = (r, p_b, p_c) if r else (1, 0, 0)
     return got
+
+
+def _flips(inv: tuple[int, ...]) -> list[int]:
+    """For each letter a = i + 1, the parity bits that block a of R(u) flips
+    against R(s_a u), for the inverse window of u: bit 0 flips p_b and bit 1
+    p_c, as in ``WordSet.parities``; -1 when a is no left descent of u.
+
+    The words of u that start with a are a followed by the words of s_a u,
+    whose inversions are those of u but (a, a+1), relabelled by s_a.  With
+    p = pos(a) > q = pos(a+1), (a, a+1) is listed first, so it is in reverse
+    with the ``below`` inversions (x, y), x < a, of which X_p + X_q overlap
+    it: X_p with pos(x) > p and X_q with pos(x) > q.  The relabelling
+    reverses X_p overlapping pairs (x, a), (x, a+1), and the A * B pairs
+    (a, y), (a+1, y') with y, y' > a+1, pos(y) < q and pos(y') < p, of which
+    the A with y = y' overlap.  So the block flips p_b by
+    below - X_p - X_q + A (B - 1) and p_c by X_q + A, mod 2.  Each count
+    is that of a set of positions, held as the bits of an int.
+    """
+    flips = []
+    below = 0  # the inversions (x, y) of u with x < a
+    left = 0  # the positions of the values below a, as bits
+    later = (2 << len(inv)) - 2  # those of a and of the values above: 1..n
+    for i in range(len(inv) - 1):
+        p, q = inv[i], inv[i + 1]  # the positions of a = i + 1 and a + 1
+        later ^= 1 << p
+        if p > q:
+            right = later ^ (1 << q)  # the positions of the values above a + 1
+            x_p = (left >> p).bit_count()
+            x_q = (left >> q).bit_count()
+            y_a = (right & ((1 << q) - 1)).bit_count()  # A
+            y_b = (right & ((1 << p) - 1)).bit_count()  # B
+            flip_b = (below - x_p - x_q + y_a * (y_b - 1)) & 1
+            flips.append(flip_b | ((x_q + y_a) & 1) << 1)
+        else:
+            flips.append(-1)
+        below += (later & ((1 << p) - 1)).bit_count()
+        left |= 1 << p
+    return flips
+
+
+def certify_parities(
+    w: Permutation, certified: set | None = None, flips: dict | None = None
+) -> dict[str, tuple[tuple[int, ...], Word]]:
+    """The first move of each kind at position 0 of an element of [e, w] that
+    does not flip its parity bit and keep the other (``FLIPS``), as
+    {kind: (window of the element, letters of the move)}; empty when none.
+
+    Two words of R(w) one move apart share the prefix up to some element u
+    and the suffix after the moved letters, and each word's parity bits are
+    the XOR of the ``_flips`` constants along its letters.  So the move flips
+    them by the XOR of the constants along the two paths of 2 or 3 steps
+    down from u, and when that is right for every move at position 0 of
+    every element of [e, w], every move edge of R(w) flips its bit and keeps
+    the other.  Since [e, w0] is S_n, one walk at w0 certifies all of S_n.
+
+    ``certified`` holds the inverse windows of elements whose whole lower
+    interval an earlier call certified: the walk skips them and adds each
+    element it certifies, so calls that share it walk no element twice.
+    ``flips`` maps inverse windows to the ``_flips`` already read, as
+    ``WordSet.flips`` does.
+    """
+    failures: dict[str, tuple[tuple[int, ...], Word]] = {}
+    done = set() if certified is None else certified
+    _certify(w.inverse().window, done, set(), {} if flips is None else flips, failures)
+    return failures
+
+
+def _certify(inv, certified: set, failed: set, flips: dict, failures: dict) -> bool:
+    """Whether every move at position 0 of every element of [e, u] keeps the
+    parities, for the inverse window of u.  The first failures go to
+    ``failures`` as in ``certify_parities``, children first; ``failed``
+    holds the elements of this walk that are not certified, and ``flips``
+    maps inverse windows to their ``_flips``.
+    """
+    if inv in certified:
+        return True
+    if inv in failed:
+        return False
+    ok = True
+    kids = {}  # letter index i -> the inverse window of s_{i+1} u
+    here = _flips_of(inv, flips)
+    for i, flip in enumerate(here):
+        if flip >= 0:
+            kids[i] = _swap(inv, i)
+            ok &= _certify(kids[i], certified, failed, flips, failures)
+    for i, kid in kids.items():
+        for j in kids:
+            if j > i + 1:  # ab and ba, two letters apart
+                kind, letters = COMMUTATION, (i + 1, j + 1)
+                turn = here[i] ^ _flips_of(kid, flips)[j] ^ here[j] ^ _flips_of(kids[j], flips)[i]
+            elif j == i + 1:  # a(a+1)a and (a+1)a(a+1)
+                kind, letters = BRAID, (i + 1, j + 1, i + 1)
+                turn = (
+                    here[i] ^ _flips_of(kid, flips)[j] ^ _flips_of(_swap(kid, j), flips)[i]
+                    ^ here[j] ^ _flips_of(kids[j], flips)[i]
+                    ^ _flips_of(_swap(kids[j], i), flips)[j]
+                )
+            else:
+                continue
+            if turn != FLIPS[kind]:
+                ok = False
+                if kind not in failures:
+                    failures[kind] = (Permutation(inv).inverse().window, bytes(letters))
+    (certified if ok else failed).add(inv)
+    return ok
+
+
+def _flips_of(inv: tuple[int, ...], flips: dict) -> list[int]:
+    """``_flips(inv)``, read from ``flips`` or computed and added to it."""
+    got = flips.get(inv)
+    if got is None:
+        got = flips[inv] = _flips(inv)
+    return got
+
+
+def _swap(inv: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The inverse window of s_{i+1} u, for that of u."""
+    lst = list(inv)
+    lst[i], lst[i + 1] = lst[i + 1], lst[i]
+    return tuple(lst)
 
 
 def _letter_matrix(inv: tuple[int, ...], memo: dict, child: list, sizes: list):

@@ -24,12 +24,18 @@ without a class graph.  A reduced word lists the inversions of w in some
 order; p_b and p_c, the parities of the disjoint and of the overlapping
 inversion pairs it lists in reverse (``WordSet.parities``), are flipped by
 a commutation move and by a braid move respectively and kept by the other.
-When every move edge does that, p_c 2-colours each braid class, and p_b
-(p_c), if constant on each braid (commutation) class, 2-colours G_b (G_c).
-Where that fails, the odd components of the bipartite double cover decide,
-so each verdict stays exact, and a move that breaks its parity is a
-``graphs`` violation naming its two words.  The exact route ran on no
-permutation of S_1-S_7 under the cap.
+Each word's bits are the XOR of constants along its letters, so checking
+the moves at position 0 of every element of [e, w] checks every move edge
+of R(w) (``reduced_words.certify_parities``); no move edge is built for it.
+When it holds, p_c 2-colours each braid class, and p_b (p_c), if constant
+on each braid (commutation) class, 2-colours G_b (G_c).  Where it fails,
+every move edge of the failing kind is tested and the odd components of
+the bipartite double cover decide, so each verdict stays exact, and a move
+that breaks its parity is a ``graphs`` violation naming its two words.  The
+certificate holds on every element of S_1-S_8.  Each process of a scan
+keeps the elements it has certified, so it walks each element of S_n at
+most once per scan: about 6 ms at n = 6 and 0.4 s at n = 8 when the first
+analysed interval is all of S_n.
 
 A pooled scan whose checks enumerate R(w) imports the word engine, and with
 it numpy, in this process before the pool forks, so that the workers inherit
@@ -37,10 +43,13 @@ it instead of each importing it (0.13-0.17 s apiece).  Only fork hands it
 on, so on Linux that pool is pinned to fork whatever the interpreter's
 default (forkserver from Python 3.14); elsewhere it keeps the default and
 its workers import the engine themselves.  No other scan loads numpy.  The
-move edges come from the ranks of the enumeration walk, not from a search
-(``classes.move_edges``).  On 2 vCPUs every check on all of S_7 at 2
-workers takes 33-38 s with a peak of 431 MB per worker, against 71-74 s and
-431-433 MB when the edges came from a binary search, run minutes apart.
+braid move edges come from the ranks of the enumeration walk
+(``classes.move_edges``), and the commutation classes from pointers to
+their normal forms (``classes.commutation_partition``), so the scan builds
+no commutation move edge.  On 2 vCPUs every check on all of S_7 at 2
+workers takes 20-21 s with a peak of 221-228 MB per worker, against 31-34 s
+and 431-432 MB when the commutation classes were the components of their
+move edges, in alternating runs.
 
 A scan that enumerates R(w) analyses it once per symmetry orbit {w, w^-1,
 w0 w w0, w0 w^-1 w0}: 230 orbits for the 720 permutations of S_6, 1,388 for
@@ -354,13 +363,16 @@ def verify_permutation(
     )
 
 
-def _analyse(w: Permutation, word_cap: int) -> Analysis | WordCapExceeded:
-    """The analysis of R(w), or the WordCapExceeded that its size raises."""
+def _analyse(
+    w: Permutation, word_cap: int, certified: set | None = None
+) -> Analysis | WordCapExceeded:
+    """The analysis of R(w), or the WordCapExceeded that its size raises;
+    ``certified`` as in ``graphs.Analysis``."""
     # The graph modules load numpy, which an enumeration-free scan never needs.
     from .graphs import analyse
 
     try:
-        return analyse(w, cap=word_cap)
+        return analyse(w, cap=word_cap, certified=certified)
     except WordCapExceeded as exc:
         # Without its traceback the exception holds no frame of the count.
         return exc.with_traceback(None)
@@ -378,6 +390,19 @@ def _verify_batch(checks: frozenset[str], word_cap: int, batch: list[tuple]) -> 
     return [rec for orbit in batch for rec in _verify_orbit(verify, word_cap, orbit)]
 
 
+# The elements of S_n whose moves this process has certified to keep their
+# parities in the current scan (``reduced_words.certify_parities``), so that
+# each process walks an element once per scan, not once per interval that
+# holds it: set by ``_start_certifying`` in this process and in each pool
+# worker when a scan starts, and dropped here when it ends.
+_certified: set | None = None
+
+
+def _start_certifying() -> None:
+    global _certified
+    _certified = set()
+
+
 def _verify_orbit(verify, word_cap: int, orbit: tuple) -> list[ScanRecord]:
     """Records of the (window, width) pairs of one symmetry orbit.
 
@@ -388,7 +413,7 @@ def _verify_orbit(verify, word_cap: int, orbit: tuple) -> list[ScanRecord]:
     messages, which may name class ids, are those of an unreduced scan.
     """
     perms = [Permutation(window) for window, _ in orbit]
-    shared = _analyse(perms[0], word_cap)
+    shared = _analyse(perms[0], word_cap, _certified)
     records = []
     for w, (_, width) in zip(perms, orbit):
         rec = verify(w, width=width, analysis=shared)
@@ -451,6 +476,15 @@ def scan(options: ScanOptions) -> ScanReport:
     identical to a fresh run.  An output path that cannot be written raises
     OSError before the first permutation is computed, not after the last.
     """
+    global _certified
+    _start_certifying()
+    try:
+        return _scan(options)
+    finally:
+        _certified = None
+
+
+def _scan(options: ScanOptions) -> ScanReport:
     n = options.n
     windows = list(_lex_windows(range(1, n + 1)))
     existing = _load_existing(options)
@@ -471,7 +505,12 @@ def scan(options: ScanOptions) -> ScanReport:
         from . import graphs  # noqa: F401
 
         context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) if pooled else nullcontext() as pool:
+    pool_context = (
+        ProcessPoolExecutor(workers, mp_context=context, initializer=_start_certifying)
+        if pooled
+        else nullcontext()
+    )
+    with pool_context as pool:
         mapper = pool.map if pool else map
         # With a pool the pass runs in a worker, so its polynomials never add
         # to the peak of this process, which holds every record; pool.map

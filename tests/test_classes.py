@@ -8,6 +8,7 @@ from redwords.classes import (
     IndexPairs,
     braid_class_shape,
     class_closure,
+    commutation_partition,
     move_edges,
     partition_with_edges,
     path_product_edge_count,
@@ -335,5 +336,45 @@ def test_rows_that_are_not_the_walks_raise_key_error(kind):
         for rows in (np.delete(ws.rows, i, axis=0), squared, far):
             with pytest.raises(KeyError):
                 move_edges(WordSet(ws.target, rows, ws.blocks), kind)
+        doctored += 1
+    assert doctored >= len(ws) // 2
+
+
+def _pointer_route_sets():
+    for n in range(1, 7):
+        yield from all_permutations(n)
+    # The largest permutations of S_7 and S_8 under the default cap.
+    yield parse_window("[7362541]")
+    yield parse_window("[57283164]")
+
+
+def test_commutation_classes_by_pointers_equal_the_components_of_the_moves():
+    # The same ids, numbered by least word, as the components of the move
+    # edges, on all of S_1-S_6 and on 1,747,746 and 1,998,568 words.
+    for w in _pointer_route_sets():
+        ws = enumerate_words(w)
+        got = commutation_partition(ws)
+        want, _ = partition_with_edges(ws, COMMUTATION)
+        assert got.kind == COMMUTATION and got.word_set is ws
+        assert got.class_of.dtype == want.class_of.dtype, w
+        assert np.array_equal(got.class_of, want.class_of), w
+
+
+def test_rows_that_are_not_the_walks_raise_key_error_from_the_pointers():
+    # As for the move edges: a word with a commutation move, dropped, with
+    # one letter changed, or with a letter past the walk's letters.
+    ws = enumerate_words(longest_element(4))
+    assert len(commutation_partition(WordSet(ws.target, ws.rows.copy(), ws.blocks))) == 8
+    doctored = 0
+    for i, word in enumerate(ws.words):
+        if not any(move.kind == COMMUTATION for move, _ in neighbors(word)):
+            continue
+        squared = ws.rows.copy()
+        squared[i, 1] = squared[i, 0]
+        far = ws.rows.copy()
+        far[i, -1] = 200
+        for rows in (np.delete(ws.rows, i, axis=0), squared, far):
+            with pytest.raises(KeyError):
+                commutation_partition(WordSet(ws.target, rows, ws.blocks))
         doctored += 1
     assert doctored >= len(ws) // 2

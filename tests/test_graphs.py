@@ -281,13 +281,19 @@ def test_views_partition_only_the_kinds_they_read(monkeypatch):
     # with the braid edges between them.
     import redwords.graphs as graphs
 
-    real, calls = graphs.partition_with_edges, []
+    calls = []
+    by_edges, by_pointers = graphs.partition_with_edges, graphs.commutation_partition
 
     def counting(word_set, kind):
         calls.append(kind)
-        return real(word_set, kind)
+        return by_edges(word_set, kind)
+
+    def counting_pointers(word_set):
+        calls.append(COMMUTATION)
+        return by_pointers(word_set)
 
     monkeypatch.setattr(graphs, "partition_with_edges", counting)
+    monkeypatch.setattr(graphs, "commutation_partition", counting_pointers)
     an = analyse(parse_window("[25314]"))
     build_word_graph(an)
     assert calls == []
@@ -359,3 +365,8 @@ def test_parity_certificate_decides_bipartiteness_on_s1_to_s6(monkeypatch):
             assert certified == exact == [True, True], w.window
             class_of = an.partition(BRAID).class_of
             assert odd == tuple(class_of[odd_components(len(class_of), an.edges(BRAID))]) == ()
+            # Every move edge the certificate vouches for, tested one by one.
+            par = an.word_set.parities
+            for kind, flips in ((COMMUTATION, 1), (BRAID, 2)):
+                moves = an.edges(kind)
+                assert ((par[moves.u] ^ par[moves.v]) == flips).all(), (w.window, kind)

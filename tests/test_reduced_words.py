@@ -1,13 +1,16 @@
 import gc
 from itertools import product
+from math import factorial
 
 import numpy as np
 import pytest
 
 from redwords.errors import WordCapExceeded
 from redwords.permutation import all_permutations, identity, longest_element, parse_window
+import redwords.reduced_words as reduced_words
 from redwords.reduced_words import (
     WordSet,
+    certify_parities,
     count_words,
     enumerate_words,
     evaluate,
@@ -238,3 +241,36 @@ def test_word_set_is_sorted_and_typed():
     assert isinstance(ws, WordSet)
     assert list(ws.words) == sorted(ws.words)
     assert len(set(ws.words)) == len(ws.words)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_parity_certificate_holds_on_every_element_of_s_n(n):
+    # [e, w0] is all of S_n, so one walk from w0 checks the moves at position
+    # 0 of every element, and with them every move edge of every R(w) in
+    # S_n; w0 of S_8 takes about 0.4 s.
+    certified = set()
+    assert certify_parities(longest_element(n), certified) == {}
+    assert len(certified) == factorial(n)
+
+
+def test_a_shared_certificate_walks_no_element_twice(monkeypatch):
+    certified = set()
+    assert certify_parities(parse_window("[25314]"), certified) == {}
+    assert len(certified) == 11  # the elements of [e, w] in the left weak order
+    before = set(certified)
+
+    calls = []
+    real = reduced_words._flips
+
+    def counting(inv):
+        calls.append(inv)
+        return real(inv)
+
+    monkeypatch.setattr(reduced_words, "_flips", counting)
+    # [15324] = s_1 [25314] is below it: nothing is walked again.
+    assert certify_parities(parse_window("[15324]"), certified) == {}
+    assert calls == []
+    # w0 of S_5 walks the rest of S_5, reading each element's constants once.
+    assert certify_parities(longest_element(5), certified) == {}
+    assert len(certified) == 120
+    assert len(calls) == len(set(calls)) and set(calls) >= certified - before

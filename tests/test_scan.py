@@ -10,10 +10,10 @@ import pytest
 
 import redwords.graphs as graphs
 from redwords.classes import ClassPartition, IndexPairs
-from redwords.coxeter_moves import BRAID, COMMUTATION
+from redwords.coxeter_moves import BRAID, COMMUTATION, neighbors
 from redwords.errors import InvariantViolation
 from redwords.permutation import MAX_N, all_permutations, longest_element, parse_window
-from redwords.reduced_words import WordSet
+from redwords.reduced_words import word_text
 from redwords.scan import (
     ScanOptions,
     ScanRecord,
@@ -22,6 +22,7 @@ from redwords.scan import (
 )
 from redwords.weak_order import interval_by_closure
 
+reduced_words = importlib.import_module("redwords.reduced_words")
 scan_module = importlib.import_module("redwords.scan")
 
 
@@ -81,20 +82,41 @@ def _doctored(kind, class_of=None, edges=None):
 
     ``class_of`` maps the word indices to the class ids that replace the
     true ones; ``edges`` maps the true move edges to the ones read instead.
+    Both are changed at ``Analysis.partition`` and ``Analysis.edges``, which
+    every answer reads, whichever route built them.
     """
 
     def doctor(monkeypatch):
-        real = graphs.partition_with_edges
+        partition, read_edges = graphs.Analysis.partition, graphs.Analysis.edges
 
-        def doctored(word_set, k):
-            part, moves = real(word_set, k)
+        def doctored_partition(an, k):
+            part = partition(an, k)
             if k == kind and class_of is not None:
-                part = ClassPartition(k, word_set, class_of(np.arange(len(word_set))))
-            if k == kind and edges is not None:
-                moves = edges(moves)
-            return part, moves
+                part = ClassPartition(k, an.word_set, class_of(np.arange(len(an.word_set))))
+            return part
 
-        monkeypatch.setattr(graphs, "partition_with_edges", doctored)
+        def doctored_edges(an, k):
+            moves = read_edges(an, k)
+            return edges(moves) if k == kind and edges is not None else moves
+
+        monkeypatch.setattr(graphs.Analysis, "partition", doctored_partition)
+        monkeypatch.setattr(graphs.Analysis, "edges", doctored_edges)
+
+    return doctor
+
+
+def _uncertified(kind):
+    """Make the parity certificate fail for one kind in every Analysis, so
+    that the move edges of that kind are tested one by one and the
+    bipartite verdicts that read them take the odd-cycle route."""
+
+    def doctor(monkeypatch):
+        real = graphs.certify_parities
+
+        def doctored(w, *args):
+            return {kind: (w.window, b""), **real(w, *args)}
+
+        monkeypatch.setattr(graphs, "certify_parities", doctored)
 
     return doctor
 
@@ -118,18 +140,23 @@ def _with_edge(k, v):
     return lambda moves: IndexPairs(np.append(moves.u, k), np.append(moves.v, v))
 
 
-def _doctored_parities(k, flips):
-    """XOR the parity bits of word index k, in every word set, with ``flips``."""
+def _doctored_flip(window, letter, bits):
+    """XOR the flip constants of block ``letter`` of R(u), u the permutation
+    with this window, with ``bits``, wherever they are read: in
+    ``WordSet.parities`` and in the parity certificate."""
 
     def doctor(monkeypatch):
-        real = WordSet.__dict__["parities"].func
+        inv = parse_window(window).inverse().window
+        real = reduced_words._flips
 
-        def doctored(word_set):
-            par = real(word_set).copy()
-            par[k] ^= flips
-            return par
+        def doctored(v):
+            flips = real(v)
+            if v == inv:
+                assert flips[letter - 1] >= 0, "no left descent"
+                flips[letter - 1] ^= bits
+            return flips
 
-        monkeypatch.setattr(WordSet, "parities", property(doctored))
+        monkeypatch.setattr(reduced_words, "_flips", doctored)
 
     return doctor
 
@@ -145,19 +172,22 @@ VIOLATIONS = [
     ("some braid and commutation class share 2 words",
      "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
     ("a braid move crossed braid classes", "[321]", [_doctored(BRAID, class_of=SPLIT)]),
-    ("braid class 0 is not bipartite", "[321]", [_doctored(BRAID, edges=_with_loop)]),
+    ("braid class 0 is not bipartite",
+     "[321]", [_doctored(BRAID, edges=_with_loop), _uncertified(BRAID)]),
     ("Gamma(w) (equivalently G(w)) is disconnected",
      "[321]", [_doctored(BRAID, class_of=SPLIT)]),
     ("G_c(w) is not bipartite", "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
     ("G_b(w) is not bipartite", "[2143]", [_doctored(BRAID, class_of=MERGED)]),
     ("the braid move 1232 - 3123 does not flip p_c and keep p_b",
-     "[2431]", [_doctored(BRAID, edges=_with_edge(0, 2))]),
+     "[2431]", [_doctored(BRAID, edges=_with_edge(0, 2)), _uncertified(BRAID)]),
     ("the commutation move 1232 - 1323 does not flip p_b and keep p_c",
-     "[2431]", [_doctored(COMMUTATION, edges=_with_edge(0, 1))]),
+     "[2431]", [_doctored(COMMUTATION, edges=_with_edge(0, 1)), _uncertified(COMMUTATION)]),
+    # 1232 is 1 followed by 232, the word of block 2 of R([1432]) that the
+    # braid move joins to 323; 3123 is block 3 of R([2431]).
     ("the braid move 1232 - 1323 does not flip p_c and keep p_b",
-     "[2431]", [_doctored_parities(0, 2)]),
+     "[2431]", [_doctored_flip("[1432]", 2, 2)]),
     ("the commutation move 1323 - 3123 does not flip p_b and keep p_c",
-     "[2431]", [_doctored_parities(2, 2)]),
+     "[2431]", [_doctored_flip("[2431]", 3, 2)]),
     ("the intersection table fails the jump property",
      "[321]", [_doctored(BRAID, class_of=SPLIT)]),
     ("bounds failed: b=1 c=1 r=2", "[321]", [_doctored(COMMUTATION, class_of=MERGED)]),
@@ -200,22 +230,72 @@ def test_every_checked_statement_reports_its_violation(monkeypatch, message, win
     assert message in verify_permutation(w).violations
 
 
-@pytest.mark.parametrize("window,doctor", [
-    ("[2431]", _doctored_parities(0, 1)),
-    ("[2431]", _doctored_parities(1, 3)),
-    ("[25314]", _doctored_parities(3, 2)),
+def _decoded(blocks, rows, text):
+    """The row at the index in R(w) that the letters of ``text`` give by the
+    offsets of the walk's blocks, as text."""
+    u, k = blocks.root, 0
+    for a in map(int, text):
+        assert blocks.child[u, a] >= 0, f"{text} is no word of R(w)"
+        k += blocks.offset[u, a]
+        u = blocks.child[u, a]
+    return word_text(rows[k])
+
+
+@pytest.mark.parametrize("window,element,letter,bits,named", [
+    pytest.param("[2431]", "[1432]", 2, 1, {BRAID: "[1432]"}, id="[2431]-doctor0"),
+    pytest.param("[2431]", "[1432]", 3, 3, {BRAID: "[1432]", COMMUTATION: "[2431]"},
+                 id="[2431]-doctor1"),
+    pytest.param("[25314]", "[24315]", 1, 2, {COMMUTATION: "[24315]"}, id="[25314]-doctor"),
 ])
-def test_wrong_parities_leave_the_bipartite_verdicts_exact(monkeypatch, window, doctor):
-    # A parity array that breaks a move is reported, and the three verdicts
-    # fall back to the odd-cycle test, which finds nothing wrong.
+def test_wrong_parities_leave_the_bipartite_verdicts_exact(
+    monkeypatch, window, element, letter, bits, named
+):
+    # One wrong flip constant at an element of [e, w] breaks the moves at
+    # position 0 there, and those at its parents whose paths pass through
+    # it: the certificate names the first failing element of each kind,
+    # children first.  Each kind that fails is reported as a move of R(w)
+    # that breaks its parities, and the three verdicts fall back to the
+    # odd-cycle test, which finds nothing wrong.
     w = parse_window(window)
-    doctor(monkeypatch)
+    _doctored_flip(element, letter, bits)(monkeypatch)
     an = graphs.analyse(w)
-    assert an.parity_break(BRAID) or an.parity_break(COMMUTATION)
+    assert {kind: u for kind, (u, _) in an.parity_failures.items()} == {
+        kind: parse_window(u).window for kind, u in named.items()
+    }
     assert an.class_graph_bipartite(BRAID) and an.class_graph_bipartite(COMMUTATION)
     assert an.odd_braid_classes == ()
     violations = verify_permutation(w).violations
-    assert violations and all(v.endswith(("keep p_b", "keep p_c")) for v in violations)
+    kinds = [kind for kind in (COMMUTATION, BRAID) if kind in named]
+    assert len(violations) == len(kinds)
+    blocks, rows = an.word_set.blocks, an.word_set.rows
+    for kind, violation in zip(kinds, violations):
+        flips, keeps = ("p_b", "p_c") if kind == COMMUTATION else ("p_c", "p_b")
+        x, y = violation.split()[3:6:2]
+        assert violation == f"the {kind} move {x} - {y} does not flip {flips} and keep {keeps}"
+        # Two words of R(w), one move of the kind apart.
+        assert _decoded(blocks, rows, x) == x and _decoded(blocks, rows, y) == y
+        assert (kind, y) in {(move.kind, word_text(v)) for move, v in neighbors(bytes(map(int, x)))}
+    # The scan reports it too, with the per-process certificate state.
+    with pytest.raises(InvariantViolation, match="does not flip"):
+        scan(ScanOptions(n=w.n))
+
+
+def test_a_scan_builds_no_commutation_edge_while_the_certificate_holds(monkeypatch):
+    # The commutation classes come from pointers to their normal forms, and
+    # the certificate vouches for every move, so no check reads a
+    # commutation move edge.
+    kinds = []
+    for name in ("move_edges", "partition_with_edges"):
+        real = getattr(graphs, name)
+
+        def counting(word_set, kind, real=real):
+            kinds.append(kind)
+            return real(word_set, kind)
+
+        monkeypatch.setattr(graphs, name, counting)
+    rep = scan(ScanOptions(n=5))
+    assert rep.violation_count == 0 and rep.skipped_count == 0
+    assert COMMUTATION not in kinds and BRAID in kinds
 
 
 def test_verify_permutation_enumeration_free():
@@ -274,9 +354,10 @@ def test_scan_starts_at_most_one_worker_per_cpu(monkeypatch):
     started, mapped, contexts = [], [], []
 
     class SerialPool:
-        def __init__(self, max_workers, mp_context=None):
+        def __init__(self, max_workers, mp_context=None, initializer=None):
             started.append(max_workers)
             contexts.append(mp_context)
+            initializer()
 
         def __enter__(self):
             return self
@@ -519,6 +600,9 @@ def test_a_violation_from_a_shared_analysis_is_verified_again(tmp_path, monkeypa
 
     real = graphs.partition_with_edges
     monkeypatch.setattr(graphs, "partition_with_edges", with_last_loop)
+    # The loop is no move of R(w), so only the odd-cycle route, which runs
+    # when the parity certificate fails, reads it.
+    _uncertified(BRAID)(monkeypatch)
     perms = list(all_permutations(4))
     unreduced = {w.window: verify_permutation(w) for w in perms}
     assert all(rec.violations for rec in unreduced.values())
