@@ -12,6 +12,20 @@ written; a conjecture mismatch is only collected.  Permutations whose word
 set exceeds the cap are recorded as skipped, but the achiever tallies use
 the enumeration-free predicates and therefore remain exact.
 
+Records travel as their lines.  Each batch of work comes back from the
+process that verified it as its records' finished JSON lines, encoded as
+``ScanReport.lines`` writes them, and one tally of what the report counts:
+the predicate and skip counts, each violation, the braid-nonconforming
+windows and the conjecture counterexamples, with windows named by the index
+that travels with each work item.  This process puts each line at its
+window's index, sums the tallies and writes the lines, so it encodes no
+record it computed and holds no ``ScanRecord`` of one;
+``ScanReport.records`` decodes the lines on first read.  One worker runs
+the same batches in this process.  The weak-order scan of S_9 at 2 workers
+on 2 vCPUs takes 11.0-11.8 s, with a peak of 293 MB in this process,
+against 13.8-15.2 s and 318-322 MB when this process encoded every record
+after the last batch.
+
 Braid-class shape conformance (size 2^x 3^y with the matching path-product
 edge count) is tallied as a finding rather than enforced: braid moves can
 cascade along staircase factors such as 1213243, so from n = 5 on some
@@ -89,8 +103,9 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import chain
 from itertools import permutations as _lex_windows
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .characterizations import (
     count_lower,
@@ -101,7 +116,7 @@ from .characterizations import (
 )
 from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation, WordCapExceeded
-from .permutation import MAX_N, Permutation, inversion_count
+from .permutation import MAX_N, Permutation, inversion_count, lazy
 from .reduced_words import DEFAULT_WORD_CAP
 from .weak_order import (
     AGREE,
@@ -205,10 +220,17 @@ class ScanReport:
     closed_form_upper: int
     closed_form_lower: int
     closed_form_match: bool
-    records: tuple[ScanRecord, ...] = field(repr=False)
+    # One encoded line per permutation, in window order, each ending in a
+    # newline; ``records`` decodes them.
+    record_lines: tuple[str, ...] = field(repr=False)
+
+    @lazy
+    def records(self) -> tuple[ScanRecord, ...]:
+        """The records, decoded from their lines on first read."""
+        return tuple(ScanRecord.from_json_obj(json.loads(line)) for line in self.record_lines)
 
     def to_json_obj(self) -> dict:
-        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
+        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "record_lines"}
         obj.update(
             schema=SCHEMA_VERSION,
             type="report",
@@ -218,9 +240,7 @@ class ScanReport:
 
     def lines(self) -> Iterator[str]:
         """The JSON Lines output one line at a time, each ending in a newline."""
-        encode = _COMPACT.encode
-        for rec in self.records:
-            yield encode(rec.to_json_obj()) + "\n"
+        yield from self.record_lines
         yield _canonical(self.to_json_obj()) + "\n"
 
     def jsonl(self) -> str:
@@ -378,16 +398,66 @@ def _analyse(
         return exc.with_traceback(None)
 
 
-def _verify_batch(checks: frozenset[str], word_cap: int, batch: list[tuple]) -> list[ScanRecord]:
-    """Records of one batch of work, every one under the same checks and cap.
+class _Tally:
+    """What the report reads of some records, windows named by their index:
+    the predicate and skip counts, each violation, and the windows outside
+    the braid-shape model and against the conjecture.  A plain class, since
+    a dataclass costs about 0.7 ms of every import of this module."""
 
-    A work item is a (window, width) pair, or, when the checks enumerate
-    R(w), the tuple of such pairs of one symmetry orbit.
+    def __init__(self) -> None:
+        self.upper = self.lower = self.skipped = 0
+        self.violations: list[tuple[int, str]] = []
+        self.nonconforming: list[int] = []
+        self.counterexamples: list[int] = []
+
+    def add(self, k: int, rec: ScanRecord) -> None:
+        self.upper += rec.upper_predicate
+        self.lower += rec.lower_predicate
+        self.skipped += rec.skipped is not None
+        self.violations += [(k, violation) for violation in rec.violations]
+        if rec.braid_shape_conforming is False:
+            self.nonconforming.append(k)
+        if rec.conjecture_status not in (None, AGREE, SKIPPED):
+            self.counterexamples.append(k)
+
+    def merge(self, other: _Tally) -> None:
+        self.upper += other.upper
+        self.lower += other.lower
+        self.skipped += other.skipped
+        self.violations += other.violations
+        self.nonconforming += other.nonconforming
+        self.counterexamples += other.counterexamples
+
+
+def _encoded(indexed: Iterable[tuple[int, ScanRecord]]) -> tuple[list[str], _Tally]:
+    """The lines of (window index, record) pairs, in their order, each ending
+    in a newline, and their tally.  Every record of the output is encoded
+    here, whether computed or resumed."""
+    encode = _COMPACT.encode
+    lines, tally = [], _Tally()
+    for k, rec in indexed:
+        lines.append(encode(rec.to_json_obj()) + "\n")
+        tally.add(k, rec)
+    return lines, tally
+
+
+def _verify_batch(
+    checks: frozenset[str], word_cap: int, batch: list[tuple]
+) -> tuple[list[str], _Tally]:
+    """The lines of one batch of work, every record under the same checks and
+    cap, in the order of its windows, and their tally.
+
+    A work item is an (index, window, width) triple, or, when the checks
+    enumerate R(w), the tuple of such triples of one symmetry orbit.  Only
+    the lines and the tally travel back to the scan's process, which never
+    holds a ``ScanRecord`` of a computed window.
     """
     verify = partial(verify_permutation, checks=checks, word_cap=word_cap)
     if not checks & _ENUMERATING:
-        return [verify(Permutation(window), width=width) for window, width in batch]
-    return [rec for orbit in batch for rec in _verify_orbit(verify, word_cap, orbit)]
+        return _encoded(
+            (k, verify(Permutation(window), width=width)) for k, window, width in batch
+        )
+    return _encoded(pair for orbit in batch for pair in _verify_orbit(verify, word_cap, orbit))
 
 
 # The elements of S_n whose moves this process has certified to keep their
@@ -403,24 +473,23 @@ def _start_certifying() -> None:
     _certified = set()
 
 
-def _verify_orbit(verify, word_cap: int, orbit: tuple) -> list[ScanRecord]:
-    """Records of the (window, width) pairs of one symmetry orbit.
+def _verify_orbit(verify, word_cap: int, orbit: tuple) -> Iterator[tuple[int, ScanRecord]]:
+    """(index, record) of the (index, window, width) triples of one orbit.
 
     R(w) is analysed once, for the first window, and every window of the
-    orbit is verified against that analysis, which is freed on return,
-    before the next orbit's is built.  A window to which the shared analysis
-    gives any violation is verified again with its own, so that its
-    messages, which may name class ids, are those of an unreduced scan.
+    orbit is verified against that analysis, which is freed when the last
+    record is taken, before the next orbit's is built.  A window to which
+    the shared analysis gives any violation is verified again with its own,
+    so that its messages, which may name class ids, are those of an
+    unreduced scan.
     """
-    perms = [Permutation(window) for window, _ in orbit]
+    perms = [Permutation(window) for _, window, _ in orbit]
     shared = _analyse(perms[0], word_cap, _certified)
-    records = []
-    for w, (_, width) in zip(perms, orbit):
+    for w, (k, _, width) in zip(perms, orbit):
         rec = verify(w, width=width, analysis=shared)
         if rec.violations and w is not perms[0]:
             rec = verify(w, width=width)
-        records.append(rec)
-    return records
+        yield k, rec
 
 
 def _longest_first(windows: list[tuple[int, ...]], todo: list[int]) -> list[int]:
@@ -490,7 +559,17 @@ def _scan(options: ScanOptions) -> ScanReport:
     existing = _load_existing(options)
     if options.output_path:
         open(options.output_path + ".tmp", "w", encoding="utf-8").close()
-    todo = [k for k, win in enumerate(windows) if win not in existing]
+    # Each line goes to the index of its window; resumed records are encoded
+    # here, computed ones in whichever process verifies them.  Each resumed
+    # record is dropped once encoded, so the records and their lines are
+    # never all held together.
+    lines: list[str | None] = [None] * len(windows)
+    resumed = [k for k, win in enumerate(windows) if win in existing]
+    encoded, tally = _encoded((k, existing.pop(windows[k])) for k in resumed)
+    for k, line in zip(resumed, encoded):
+        lines[k] = line
+    del existing, encoded
+    todo = [k for k, line in enumerate(lines) if line is None]
 
     # The pool forks all its workers at the first task, and workers beyond
     # the core count add memory but no speed, so at most one per core starts.
@@ -510,53 +589,45 @@ def _scan(options: ScanOptions) -> ScanReport:
         if pooled
         else nullcontext()
     )
+    grouped = bool(options.checks & _ENUMERATING)
     with pool_context as pool:
         mapper = pool.map if pool else map
         # With a pool the pass runs in a worker, so its polynomials never add
-        # to the peak of this process, which holds every record; pool.map
+        # to the peak of this process, which holds every line; pool.map
         # submits it at once, and this process sorts while it runs.
         pending = mapper(interval_widths, [n]) if options.checks & _NEED_WIDTH and todo else None
         order = _longest_first(windows, todo)
-        orbits = _orbits(windows, order) if options.checks & _ENUMERATING else None
+        orbits = _orbits(windows, order) if grouped else None
         widths = next(pending) if pending else None
 
-        def item(k: int) -> tuple[tuple[int, ...], int | None]:
-            return windows[k], None if widths is None else widths[k]
+        def item(k: int) -> tuple[int, tuple[int, ...], int | None]:
+            return k, windows[k], None if widths is None else widths[k]
 
-        items = [tuple(map(item, orbit)) for orbit in orbits] if orbits else list(map(item, order))
-        verify = partial(_verify_batch, options.checks, options.word_cap)
+        items = [tuple(map(item, orbit)) for orbit in orbits] if grouped else list(map(item, order))
         batches = _costliest_first(items, workers, len(order))
-        computed = [rec for recs in mapper(verify, batches) for rec in recs]
+        verify = partial(_verify_batch, options.checks, options.word_cap)
+        for batch, (batch_lines, batch_tally) in zip(batches, mapper(verify, batches)):
+            triples = chain.from_iterable(batch) if grouped else batch
+            for (k, _, _), line in zip(triples, batch_lines):
+                lines[k] = line
+            tally.merge(batch_tally)
 
-    by_window = dict(existing)
-    for rec in computed:
-        by_window[rec.window] = rec
-    records = tuple(by_window[win] for win in windows)
-
-    counterexamples = tuple(
-        rec.window
-        for rec in records
-        if rec.conjecture_status not in (None, AGREE, SKIPPED)
-    )
-    upper_count = sum(1 for rec in records if rec.upper_predicate)
-    lower_count = sum(1 for rec in records if rec.lower_predicate)
+    violations = sorted(tally.violations, key=lambda kv: kv[0])
     report = ScanReport(
         n=n,
-        total=len(records),
+        total=len(windows),
         checks=tuple(sorted(options.checks)),
         word_cap=options.word_cap,
-        upper_achiever_count=upper_count,
-        lower_achiever_count=lower_count,
-        skipped_count=sum(1 for rec in records if rec.skipped),
-        violation_count=sum(len(rec.violations) for rec in records),
-        braid_nonconforming=tuple(
-            rec.window for rec in records if rec.braid_shape_conforming is False
-        ),
-        conjecture_counterexamples=counterexamples,
+        upper_achiever_count=tally.upper,
+        lower_achiever_count=tally.lower,
+        skipped_count=tally.skipped,
+        violation_count=len(violations),
+        braid_nonconforming=tuple(windows[k] for k in sorted(tally.nonconforming)),
+        conjecture_counterexamples=tuple(windows[k] for k in sorted(tally.counterexamples)),
         closed_form_upper=count_upper(n),
         closed_form_lower=count_lower(n),
-        closed_form_match=upper_count == count_upper(n) and lower_count == count_lower(n),
-        records=records,
+        closed_form_match=tally.upper == count_upper(n) and tally.lower == count_lower(n),
+        record_lines=tuple(lines),
     )
 
     if options.output_path:
@@ -565,15 +636,11 @@ def _scan(options: ScanOptions) -> ScanReport:
             fh.writelines(report.lines())
         os.replace(tmp, options.output_path)
 
-    if report.violation_count:
-        examples = [
-            f"{list(rec.window)}: {violation}"
-            for rec in records
-            for violation in rec.violations
-        ]
+    if violations:
+        examples = [f"{list(windows[k])}: {violation}" for k, violation in violations[:5]]
         raise InvariantViolation(
             f"scan of S_{n} found {report.violation_count} violations of proved "
-            "statements, e.g. " + "; ".join(examples[:5])
+            "statements, e.g. " + "; ".join(examples)
         )
     return report
 

@@ -6,6 +6,7 @@ import pytest
 
 from redwords.classes import (
     IndexPairs,
+    _lowered,
     braid_class_shape,
     class_closure,
     commutation_partition,
@@ -358,6 +359,17 @@ def test_commutation_classes_by_pointers_equal_the_components_of_the_moves():
         assert got.kind == COMMUTATION and got.word_set is ws
         assert got.class_of.dtype == want.class_of.dtype, w
         assert np.array_equal(got.class_of, want.class_of), w
+
+
+def test_pointers_taken_a_few_rows_at_a_time_are_those_taken_at_once():
+    # Each word's pointer reads only its own letters and walk, so the batch
+    # size cannot change it; the pointers are int32, the class ids int64.
+    ws = enumerate_words(longest_element(5))
+    whole = _lowered(ws.rows, ws.blocks)
+    assert whole.dtype == np.int32 and len(whole) == len(ws) == 768
+    for batch in (1, 7, len(ws) - 1):
+        assert np.array_equal(_lowered(ws.rows, ws.blocks, batch), whole), batch
+    assert commutation_partition(ws).class_of.dtype == np.int64
 
 
 def test_rows_that_are_not_the_walks_raise_key_error_from_the_pointers():

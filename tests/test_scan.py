@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -622,6 +623,88 @@ def test_a_violation_from_a_shared_analysis_is_verified_again(tmp_path, monkeypa
     # Once per window, and again for each window but the first of its orbit.
     orbits = {min(v.window for v in _orbit(w)) for w in perms}
     assert len(computed) == 2 * len(perms) - len(orbits)
+
+
+def test_a_pooled_scan_encodes_no_computed_record_in_this_process(tmp_path, monkeypatch):
+    # The workers hand back finished lines and a tally, so this process
+    # encodes no record that it did not resume.  Each encoding is logged
+    # with the id of the process that made it: forked workers inherit the
+    # wrapper and log theirs to the same file.
+    log = tmp_path / "encoded.log"
+    real = ScanRecord.to_json_obj
+
+    def logged(rec):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {list(rec.window)}\n")
+        return real(rec)
+
+    monkeypatch.setattr(ScanRecord, "to_json_obj", logged)
+    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 2)
+    pooled = scan(ScanOptions(n=5, workers=2)).jsonl()
+    # Workers started by spawn do not inherit the wrapper and log nothing.
+    logged_lines = log.read_text().splitlines() if log.exists() else []
+    pids = [int(line.split(" ", 1)[0]) for line in logged_lines]
+    assert os.getpid() not in pids
+    if sys.platform == "linux":
+        # The pool is pinned to fork there: every window is encoded once,
+        # in a worker.
+        assert len(pids) == 120
+    log.unlink(missing_ok=True)
+    assert pooled == scan(ScanOptions(n=5, workers=1)).jsonl()
+    assert _sha256(pooled) == PINNED_JSONL_SHA256[5]
+
+
+def test_a_violation_reads_the_same_at_one_and_two_workers(tmp_path, monkeypatch):
+    # Two violations on each permutation of length at least 4, which the
+    # pool computes first: the message lists its first five examples in
+    # window order, each record's own violations in their order.
+    real = scan_module.verify_permutation
+
+    def broken(w, **kwargs):
+        rec = real(w, **kwargs)
+        if w.length() >= 4:
+            extra = ("deliberately broken", f"broken again at length {w.length()}")
+            rec = ScanRecord(**{**vars(rec), "violations": rec.violations + extra})
+        return rec
+
+    monkeypatch.setattr(scan_module, "verify_permutation", broken)
+    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 2)
+    unreduced = [broken(w) for w in all_permutations(4)]
+    examples = [
+        f"{list(rec.window)}: {violation}" for rec in unreduced for violation in rec.violations
+    ]
+    assert len(examples) == 18
+    messages, reports = [], []
+    for workers in (1, 2):
+        out = tmp_path / f"s4-{workers}.jsonl"
+        with pytest.raises(InvariantViolation) as raised:
+            scan(ScanOptions(n=4, workers=workers, output_path=str(out)))
+        messages.append(str(raised.value))
+        reports.append(json.loads(out.read_text().splitlines()[-1]))
+    assert messages[0] == messages[1] == (
+        "scan of S_4 found 18 violations of proved statements, e.g. " + "; ".join(examples[:5])
+    )
+    assert reports[0] == reports[1] and reports[0]["violation_count"] == 18
+
+
+def test_a_resumed_scan_reads_like_a_fresh_one(tmp_path, monkeypatch):
+    # Every other record and the report line are kept: the kept records are
+    # encoded again in this process, the others are computed, and the file,
+    # the report and its decoded records are those of a fresh run.
+    out = tmp_path / "s5.jsonl"
+    fresh = scan(ScanOptions(n=5, output_path=str(out)))
+    full = out.read_text()
+    lines = full.splitlines(keepends=True)
+    computed = _counting(monkeypatch, scan_module, "verify_permutation")
+    for workers in (1, 2):
+        out.write_text("".join(lines[:-1:2]) + lines[-1])
+        resumed = scan(ScanOptions(n=5, workers=workers, output_path=str(out)))
+        assert out.read_text() == full
+        assert resumed == fresh
+        assert resumed.records == fresh.records
+        assert all(isinstance(rec, ScanRecord) for rec in resumed.records)
+    # At one worker the computed windows are counted here: the dropped ones.
+    assert sorted(computed) == [w.window for w in all_permutations(5)][1::2]
 
 
 # sha256 of the full JSON Lines output under the default options, as first
