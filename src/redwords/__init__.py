@@ -2,9 +2,11 @@
 
 The package enumerates R(w) for w in S_n, partitions it under braid or
 commutation moves, builds the move graph G(w), its contractions G_c and G_b,
-the class incidence graph Gamma(w), and the intersection table T(w), and
-checks the bounds b + c - 1 <= |R(w)| <= b * c together with the exact
-characterizations and counts of the permutations achieving either bound.
+the class incidence graph Gamma(w) (each an ``IndexGraph``: vertex labels
+and one array of index pairs per edge kind, written as DOT by
+``dot_lines``), and the intersection table T(w), and checks the bounds
+b + c - 1 <= |R(w)| <= b * c together with the exact characterizations and
+counts of the permutations achieving either bound.
 The scan harness reverifies all of it exhaustively for a whole S_n.
 
 The names from ``classes`` and ``graphs`` are loaded on first use: those
@@ -90,15 +92,15 @@ _LAZY = {
     ), "classes"),
     **dict.fromkeys((
         "Analysis",
-        "Edge",
+        "IndexGraph",
         "IntersectionTable",
-        "LabeledGraph",
         "analyse",
+        "build_class_graph",
         "build_gamma",
         "build_table",
         "build_word_graph",
         "contract",
-        "export_dot",
+        "dot_lines",
         "jump_property",
     ), "graphs"),
 }

@@ -187,11 +187,11 @@ def _write_json_array(chunks: Iterable[str]) -> None:
     sys.stdout.write("]")
 
 
-def _comma_joined(items: Iterable[str]) -> Iterator[str]:
-    """Items that are each JSON text, comma-joined 1,024 at a time."""
+def _joined(items: Iterable[str], sep: str = ",") -> Iterator[str]:
+    """Items joined by ``sep``, 1,024 at a time: JSON texts, or lines."""
     items = iter(items)
     while chunk := list(islice(items, 1024)):
-        yield ",".join(chunk)
+        yield sep.join(chunk)
 
 
 def _cmd_words(args) -> int:
@@ -244,7 +244,7 @@ def _cmd_table(args) -> int:
             "rows": table.rows,
             "cols": table.cols,
             "jump_property": an.gamma_connected,
-        }, "cells", lambda: _write_json_array(_comma_joined(
+        }, "cells", lambda: _write_json_array(_joined(
             "[" + ",".join(row) + "]" for row in table.iter_rows(empty="null", quote='"')
         )))
         return 0
@@ -264,7 +264,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    from .graphs import analyse, build_gamma, build_word_graph, export_dot
+    from .graphs import analyse, build_class_graph, build_gamma, build_word_graph, dot_lines
 
     w = parse_window(args.window)
     an = analyse(w, cap=args.cap)
@@ -273,22 +273,22 @@ def _cmd_graph(args) -> int:
     elif args.which == "word":
         g = build_word_graph(an)
     else:
-        g = an.class_graph(COMMUTATION if args.which == "gc" else BRAID)
-    style = "word" if args.which == "word" else "class"
+        g = build_class_graph(an, COMMUTATION if args.which == "gc" else BRAID)
     if args.format == "json":
         # Kinds and word texts are plain ASCII that JSON needs no escape for.
         _emit_json_around({
             "schema": SCHEMA,
             "window": list(w.window),
             "which": args.which,
-            "vertices": list(g.labels),
-        }, "edges", lambda: _write_json_array(_comma_joined(
+            "vertices": g.labels,
+        }, "edges", lambda: _write_json_array(_joined(
             '{"kind":"%s","u":%d,"v":%d,"word":%s}'
-            % (e.kind, e.u, e.v, "null" if e.word is None else f'"{e.word}"')
-            for e in g.edges
+            % (kind, u, v, "null" if word is None else f'"{word}"')
+            for kind, u, v, word in g.iter_edges()
         )))
     else:
-        sys.stdout.write(export_dot(g, style=style))
+        for chunk in _joined(dot_lines(g, "word" if args.which == "word" else "class"), "\n"):
+            sys.stdout.write(chunk + "\n")
     return 0
 
 

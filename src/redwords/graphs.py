@@ -8,13 +8,14 @@ commutation classes with one edge per reduced word, and the intersection
 table arranges the same data as a grid with at most one word per cell.
 
 ``analyse(w)`` builds the per-permutation ``Analysis`` that the scan, the
-CLI and the views G(w), Gamma(w) and T(w) read from.
+CLI, the graph views (each an ``IndexGraph``) and T(w) read from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,78 +43,90 @@ from .reduced_words import (
 )
 
 INCIDENCE = "incidence"
+EDGE_BLOCK = 4096  # edges read from their arrays at a time
 
 
-class Edge(NamedTuple):
-    u: int
-    v: int
-    kind: str
-    word: str | None = None  # witness text for incidence edges
+@dataclass(frozen=True, eq=False)
+class IndexGraph:
+    """Vertex labels and one ``IndexPairs`` per edge kind, in output order;
+    ``witnesses`` holds the word text of each edge of Gamma(w), else None."""
+
+    labels: Sequence[str]
+    edges: dict[str, IndexPairs]
+    witnesses: Sequence[str] | None = None
+
+    def iter_edges(self) -> Iterator[tuple[str, int, int, str | None]]:
+        """Each edge as (kind, u, v, witness) in output order, read from the
+        arrays ``EDGE_BLOCK`` pairs at a time."""
+        witnesses = repeat(None) if self.witnesses is None else iter(self.witnesses)
+        for kind, pairs in self.edges.items():
+            for at in range(0, len(pairs), EDGE_BLOCK):
+                u, v = pairs.u[at:at + EDGE_BLOCK].tolist(), pairs.v[at:at + EDGE_BLOCK].tolist()
+                yield from zip(repeat(kind), u, v, witnesses)
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    labels: tuple[str, ...]
-    edges: tuple[Edge, ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.labels)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+def _class_labels(kind: str, count: int) -> list[str]:
+    prefix = "C" if kind == COMMUTATION else "B"
+    return [f"{prefix}{k + 1}" for k in range(count)]
 
 
-def build_word_graph(an: Analysis) -> LabeledGraph:
+def build_word_graph(an: Analysis) -> IndexGraph:
     """G(w): one vertex per word, one labeled edge per supported move.
 
     Commutation edges are listed before braid edges, each by (word, position),
     with every unordered pair recorded once.
     """
-    edges = []
+    edges = {}
     for kind in (COMMUTATION, BRAID):
         found = an.edges(kind)  # by position, then by word
         by_word = np.argsort(found.u, kind="stable")
-        edges += (Edge(u, v, kind) for u, v in IndexPairs(found.u[by_word], found.v[by_word]))
-    return LabeledGraph(labels=tuple(an.word_set.texts), edges=tuple(edges))
+        edges[kind] = IndexPairs(found.u[by_word], found.v[by_word])
+    return IndexGraph(an.word_set.texts, edges)
 
 
-def contract(g: LabeledGraph, kind: str) -> LabeledGraph:
+def build_class_graph(an: Analysis, kind: str) -> IndexGraph:
+    """G_c for kind=COMMUTATION, G_b for kind=BRAID, from the index arrays.
+
+    The same graph as ``contract(build_word_graph(an), kind)``, without
+    building G(w): ``Analysis.class_edges`` without its loops.
+    """
+    found = an.class_edges(kind)
+    kept = found.u != found.v
+    other = BRAID if kind == COMMUTATION else COMMUTATION
+    return IndexGraph(_class_labels(kind, len(an.partition(kind))),
+                      {other: IndexPairs(found.u[kept], found.v[kept])})
+
+
+def contract(g: IndexGraph, kind: str) -> IndexGraph:
     """Contract all edges of one kind; vertices become that kind's classes.
 
     Contracting commutation edges yields G_c (vertices C1, C2, ...);
     contracting braid edges yields G_b (vertices B1, B2, ...).  Remaining
-    edges are deduplicated and self-loops dropped.
+    edges are deduplicated and self-loops dropped, pair by pair: the tests'
+    reference for ``build_class_graph``.
     """
-    comp = components(g.vertex_count, ((e.u, e.v) for e in g.edges if e.kind == kind)).tolist()
-    prefix = "C" if kind == COMMUTATION else "B"
-    labels = tuple(f"{prefix}{k + 1}" for k in range(max(comp, default=-1) + 1))
-    kept = set()
-    for e in g.edges:
-        if e.kind != kind:
-            cu, cv = comp[e.u], comp[e.v]
-            if cu != cv:
-                kept.add((min(cu, cv), max(cu, cv), e.kind))
-    edges = tuple(Edge(u, v, k) for u, v, k in sorted(kept))
-    return LabeledGraph(labels=labels, edges=edges)
+    comp = components(len(g.labels), g.edges.get(kind, ())).tolist()
+    edges = {}
+    for other, pairs in g.edges.items():
+        if other != kind:
+            kept = {(min(comp[u], comp[v]), max(comp[u], comp[v])) for u, v in pairs}
+            edges[other] = IndexPairs.of(sorted((u, v) for u, v in kept if u != v))
+    return IndexGraph(_class_labels(kind, max(comp, default=-1) + 1), edges)
 
 
-def build_gamma(an: Analysis) -> LabeledGraph:
+def build_gamma(an: Analysis) -> IndexGraph:
     """Gamma(w): vertices B1..Bb then C1..Cc, one witness-labeled edge per word.
 
     The edges are the filled cells of the intersection table, so a duplicate
     (braid class, commutation class) pair raises there.
     """
     table = build_table(an)
-    b = table.rows
-    labels = tuple(f"B{k + 1}" for k in range(b)) + tuple(
-        f"C{k + 1}" for k in range(table.cols)
-    )
     texts = an.word_set.texts
-    cells = zip(table.cells, table.words.tolist())
-    edges = tuple(Edge(bi, b + ci, INCIDENCE, texts[i]) for (bi, ci), i in cells)
-    return LabeledGraph(labels=labels, edges=edges)
+    return IndexGraph(
+        _class_labels(BRAID, table.rows) + _class_labels(COMMUTATION, table.cols),
+        {INCIDENCE: IndexPairs(table.cells.u, table.rows + table.cells.v)},
+        [texts[i] for i in table.words.tolist()],
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,19 +265,6 @@ class Analysis:
         lo[flip], hi[flip] = hi[flip], lo[flip]
         return _distinct_pairs(lo, hi)
 
-    def class_graph(self, kind: str) -> LabeledGraph:
-        """G_c for kind=COMMUTATION, G_b for kind=BRAID, from the index arrays.
-
-        The same graph as ``contract(build_word_graph(self), kind)``,
-        without building G(w): ``class_edges`` without its loops.
-        """
-        other = BRAID if kind == COMMUTATION else COMMUTATION
-        prefix = "C" if kind == COMMUTATION else "B"
-        return LabeledGraph(
-            labels=tuple(f"{prefix}{k + 1}" for k in range(len(self.partition(kind)))),
-            edges=tuple(Edge(u, v, other) for u, v in self.class_edges(kind) if u != v),
-        )
-
     def class_graph_bipartite(self, kind: str) -> bool:
         """G_c (kind=COMMUTATION) or G_b (kind=BRAID) has no odd cycle and no loop.
 
@@ -393,8 +393,9 @@ def analyse(
 _EDGE_STYLE = {COMMUTATION: "solid", BRAID: "dashed", INCIDENCE: "solid"}
 
 
-def export_dot(g: LabeledGraph, style: str = "word") -> str:
-    """Deterministic undirected DOT output.
+def dot_lines(g: IndexGraph, style: str = "word") -> Iterator[str]:
+    """Deterministic undirected DOT output, one line at a time, without
+    line ends.
 
     Braid edges are dashed and commutation edges solid, following the figure
     convention; incidence edges carry their witness word as a label.  The
@@ -403,20 +404,14 @@ def export_dot(g: LabeledGraph, style: str = "word") -> str:
     """
     if style not in ("word", "class"):
         raise ValueError(f"unknown style {style!r}")
-    shape = "ellipse" if style == "word" else "box"
-    lines = ["graph {", f"  node [shape={shape}];"]
-    for label in g.labels:
-        lines.append(f'  "{_dot_escape(label)}";')
-    for e in g.edges:
-        attrs = [f"style={_EDGE_STYLE[e.kind]}"]
-        if e.word is not None:
-            attrs.append(f'label="{_dot_escape(e.word)}"')
-        lines.append(
-            f'  "{_dot_escape(g.labels[e.u])}" -- "{_dot_escape(g.labels[e.v])}"'
-            f' [{", ".join(attrs)}];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "graph {"
+    yield f"  node [shape={'ellipse' if style == 'word' else 'box'}];"
+    quoted = [f'"{_dot_escape(label)}"' for label in g.labels]
+    yield from (f"  {label};" for label in quoted)
+    for kind, u, v, word in g.iter_edges():
+        witness = "" if word is None else f', label="{_dot_escape(word)}"'
+        yield f"  {quoted[u]} -- {quoted[v]} [style={_EDGE_STYLE[kind]}{witness}];"
+    yield "}"
 
 
 def _dot_escape(text: str) -> str:

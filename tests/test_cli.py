@@ -449,3 +449,19 @@ def test_views_of_465321_are_pinned(cli, view):
     code, out, err = cli(*view.split(), "[465321]")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_465321_VIEW_SHA256[view]
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_word_graph_of_465321_is_written_a_piece_at_a_time(monkeypatch, fmt):
+    # 15,015 vertices and their move edges: no write may hold the whole graph,
+    # or even a tenth of it.
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(len(text))
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert run(["graph", "--which", "word", "[465321]", "--format", fmt]) == 0
+    assert len(writes) > 10
+    assert max(writes) * 10 < sum(writes)

@@ -2,37 +2,60 @@ import pytest
 
 from redwords.classes import (
     ClassPartition,
+    IndexPairs,
     components,
     odd_components,
     verify_braid_class_graph,
 )
 from redwords.coxeter_moves import BRAID, COMMUTATION
 from redwords.graphs import (
-    Edge,
-    LabeledGraph,
+    IndexGraph,
     analyse,
+    build_class_graph,
     build_gamma,
     build_table,
     build_word_graph,
     contract,
-    export_dot,
+    dot_lines,
     jump_property,
 )
 from redwords.permutation import all_permutations, identity, parse_window
 
 
-# Graph predicates on a built LabeledGraph: the oracles that the views and the
+def braid_graph(labels, *pairs):
+    """A graph whose edges, given as (u, v) pairs, are all braid edges."""
+    return IndexGraph(tuple(labels), {BRAID: IndexPairs.of(pairs)})
+
+
+def all_pairs(g):
+    return [(u, v) for _, u, v, _ in g.iter_edges()]
+
+
+def edge_count(g):
+    return sum(len(pairs) for pairs in g.edges.values())
+
+
+def form(g):
+    """Labels, the pairs of each kind and the witnesses, as plain lists."""
+    return list(g.labels), {kind: list(pairs) for kind, pairs in g.edges.items()}, g.witnesses
+
+
+def dot_text(g, style="word"):
+    return "".join(line + "\n" for line in dot_lines(g, style))
+
+
+# Graph predicates on a built IndexGraph: the oracles that the views and the
 # analysis's own answers are checked against.
 def is_connected(g):
-    return not components(g.vertex_count, ((e.u, e.v) for e in g.edges)).any()
+    return not components(len(g.labels), all_pairs(g)).any()
 
 
 def is_bipartite(g):
-    return not len(odd_components(g.vertex_count, ((e.u, e.v) for e in g.edges)))
+    return not len(odd_components(len(g.labels), all_pairs(g)))
 
 
 def is_tree(g):
-    return is_connected(g) and g.edge_count == g.vertex_count - 1
+    return is_connected(g) and edge_count(g) == len(g.labels) - 1
 
 
 def graph_for(window_text_form):
@@ -41,14 +64,14 @@ def graph_for(window_text_form):
 
 
 def edge_set(g, kind):
-    return {(g.labels[e.u], g.labels[e.v]) for e in g.edges if e.kind == kind}
+    return {(g.labels[u], g.labels[v]) for u, v in g.edges[kind]}
 
 
 def test_word_graph_25314():
     an, g = graph_for("[25314]")
-    assert g.vertex_count == 6
-    assert sum(1 for e in g.edges if e.kind == COMMUTATION) == 4
-    assert sum(1 for e in g.edges if e.kind == BRAID) == 2
+    assert len(g.labels) == 6
+    assert len(g.edges[COMMUTATION]) == 4
+    assert len(g.edges[BRAID]) == 2
     assert edge_set(g, COMMUTATION) == {
         ("12432", "14232"), ("14232", "41232"), ("14323", "41323"), ("41323", "43123"),
     }
@@ -57,22 +80,22 @@ def test_word_graph_25314():
 
 def test_word_graph_trivial_cases():
     an, g = graph_for("[1234]")
-    assert (g.vertex_count, g.edge_count) == (1, 0)
+    assert (len(g.labels), edge_count(g)) == (1, 0)
     an, g = graph_for("[321]")
-    assert g.vertex_count == 2
+    assert len(g.labels) == 2
     assert edge_set(g, BRAID) == {("121", "212")}
 
 
 def test_contract_25314():
     an, g = graph_for("[25314]")
     gc = contract(g, COMMUTATION)
-    assert gc.labels == ("C1", "C2")
-    assert [(e.u, e.v, e.kind) for e in gc.edges] == [(0, 1, BRAID)]
+    assert gc.labels == ["C1", "C2"]
+    assert [(u, v, kind) for kind, u, v, _ in gc.iter_edges()] == [(0, 1, BRAID)]
     gb = contract(g, BRAID)
-    assert gb.labels == ("B1", "B2", "B3", "B4")
-    assert [(e.u, e.v) for e in gb.edges] == [(0, 1), (1, 2), (2, 3)]  # a path
-    edgeless = LabeledGraph(labels=("a", "b"), edges=())
-    assert contract(edgeless, BRAID).labels == ("B1", "B2")
+    assert gb.labels == ["B1", "B2", "B3", "B4"]
+    assert all_pairs(gb) == [(0, 1), (1, 2), (2, 3)]  # a path
+    edgeless = IndexGraph(labels=("a", "b"), edges={})
+    assert contract(edgeless, BRAID).labels == ["B1", "B2"]
 
 
 def test_predicates():
@@ -80,41 +103,32 @@ def test_predicates():
     assert is_connected(g)
     assert is_bipartite(contract(g, COMMUTATION))
     assert is_bipartite(contract(g, BRAID))
-    single = LabeledGraph(labels=("v",), edges=())
+    single = IndexGraph(labels=("v",), edges={})
     assert is_connected(single) and is_bipartite(single) and is_tree(single)
-    triangle = LabeledGraph(
-        labels=("a", "b", "c"),
-        edges=(Edge(0, 1, BRAID), Edge(1, 2, BRAID), Edge(0, 2, BRAID)),
-    )
+    triangle = braid_graph("abc", (0, 1), (1, 2), (0, 2))
     assert not is_bipartite(triangle)
     assert not is_tree(triangle)
-    disconnected = LabeledGraph(labels=("a", "b"), edges=())
+    disconnected = IndexGraph(labels=("a", "b"), edges={})
     assert not is_connected(disconnected)
 
 
 def test_is_bipartite_matches_brute_force_two_coloring():
     # Independent oracle: try all 2^V colorings on small random-ish graphs.
     def brute(g):
-        v = g.vertex_count
+        v = len(g.labels)
         for bits in range(2**v):
-            if all((bits >> e.u) & 1 != (bits >> e.v) & 1 for e in g.edges):
+            if all((bits >> u) & 1 != (bits >> w) & 1 for u, w in all_pairs(g)):
                 return True
         return v == 0
 
     samples = [
-        LabeledGraph(tuple("abcde"), (Edge(0, 1, BRAID), Edge(1, 2, BRAID))),
-        LabeledGraph(tuple("abcde"), (Edge(0, 1, BRAID), Edge(1, 2, BRAID), Edge(2, 0, BRAID))),
-        LabeledGraph(tuple("abcd"), (Edge(0, 1, BRAID), Edge(2, 3, BRAID))),
-        LabeledGraph(
-            tuple("abcdef"),
-            tuple(Edge(i, (i + 1) % 6, BRAID) for i in range(6)),
-        ),
-        LabeledGraph(
-            tuple("abcde"),
-            tuple(Edge(i, (i + 1) % 5, BRAID) for i in range(5)),
-        ),
+        braid_graph("abcde", (0, 1), (1, 2)),
+        braid_graph("abcde", (0, 1), (1, 2), (2, 0)),
+        braid_graph("abcd", (0, 1), (2, 3)),
+        braid_graph("abcdef", *((i, (i + 1) % 6) for i in range(6))),
+        braid_graph("abcde", *((i, (i + 1) % 5) for i in range(5))),
         # a self-loop is an odd cycle: no 2-coloring exists
-        LabeledGraph(tuple("abc"), (Edge(0, 1, BRAID), Edge(2, 2, BRAID))),
+        braid_graph("abc", (0, 1), (2, 2)),
     ]
     for g in samples:
         assert is_bipartite(g) == brute(g)
@@ -122,10 +136,10 @@ def test_is_bipartite_matches_brute_force_two_coloring():
 
 def test_gamma_25314():
     gamma = build_gamma(analyse(parse_window("[25314]")))
-    assert gamma.labels == ("B1", "B2", "B3", "B4", "C1", "C2")
-    assert gamma.edge_count == 6  # one per reduced word
+    assert gamma.labels == ["B1", "B2", "B3", "B4", "C1", "C2"]
+    assert edge_count(gamma) == 6  # one per reduced word
     assert not is_tree(gamma)
-    witness = {(gamma.labels[e.u], gamma.labels[e.v]): e.word for e in gamma.edges}
+    witness = {(gamma.labels[u], gamma.labels[v]): word for _, u, v, word in gamma.iter_edges()}
     assert witness[("B1", "C1")] == "12432"
     assert witness[("B4", "C2")] == "43123"
     assert ("B1", "C2") not in witness
@@ -134,12 +148,12 @@ def test_gamma_25314():
 
 def test_gamma_identity_and_tree_case():
     gamma = build_gamma(analyse(identity(4)))
-    assert gamma.vertex_count == 2
-    assert gamma.edge_count == 1
+    assert len(gamma.labels) == 2
+    assert edge_count(gamma) == 1
     assert is_tree(gamma)
     # [3421] achieves the lower bound: Gamma is a tree with 5 edges
     gamma = build_gamma(analyse(parse_window("[3421]")))
-    assert gamma.edge_count == 5
+    assert edge_count(gamma) == 5
     assert is_tree(gamma)
 
 
@@ -236,11 +250,11 @@ def test_word_graph_invariants_exhaustive(n):
         bp, cp = an.partition(BRAID), an.partition(COMMUTATION)
         assert is_connected(g)
         gc, gb = contract(g, COMMUTATION), contract(g, BRAID)
-        assert gc.vertex_count == len(cp)
-        assert gb.vertex_count == len(bp)
+        assert len(gc.labels) == len(cp)
+        assert len(gb.labels) == len(bp)
         assert is_bipartite(gc) and is_bipartite(gb)
         gamma = build_gamma(an)
-        assert gamma.edge_count == len(ws)
+        assert edge_count(gamma) == len(ws)
         assert is_connected(gamma)
         table = build_table(an)
         assert len(table.cells) == len(ws)
@@ -250,20 +264,20 @@ def test_word_graph_invariants_exhaustive(n):
 
 def test_export_dot():
     an, g = graph_for("[25314]")
-    dot = export_dot(g)
+    dot = dot_text(g)
     assert dot.startswith("graph {")
     assert dot.count("[style=dashed]") == 2
     assert dot.count("style=solid") == 4
     assert '"12432"' in dot
-    assert export_dot(g) == dot  # deterministic
-    empty = LabeledGraph(labels=(), edges=())
-    assert export_dot(empty) == "graph {\n  node [shape=ellipse];\n}\n"
+    assert dot_text(g) == dot  # deterministic
+    empty = IndexGraph(labels=(), edges={})
+    assert dot_text(empty) == "graph {\n  node [shape=ellipse];\n}\n"
     gamma = build_gamma(an)
-    gdot = export_dot(gamma, style="class")
+    gdot = dot_text(gamma, style="class")
     assert "node [shape=box];" in gdot
     assert 'label="12432"' in gdot
     with pytest.raises(ValueError):
-        export_dot(g, style="fancy")
+        dot_text(g, style="fancy")
 
 
 def test_class_graphs_from_the_analysis_match_contraction():
@@ -273,7 +287,7 @@ def test_class_graphs_from_the_analysis_match_contraction():
             an = analyse(w)
             g = build_word_graph(an)
             for kind in (BRAID, COMMUTATION):
-                assert an.class_graph(kind) == contract(g, kind)
+                assert form(build_class_graph(an, kind)) == form(contract(g, kind))
 
 
 def test_views_partition_only_the_kinds_they_read(monkeypatch):
@@ -297,7 +311,7 @@ def test_views_partition_only_the_kinds_they_read(monkeypatch):
     an = analyse(parse_window("[25314]"))
     build_word_graph(an)
     assert calls == []
-    an.class_graph(COMMUTATION)
+    build_class_graph(an, COMMUTATION)
     assert calls == [COMMUTATION]
 
 
@@ -319,7 +333,7 @@ def test_a_commutation_move_inside_a_braid_class_fails_the_gb_check(monkeypatch)
     w = parse_window("[2143]")
     an = analyse(w)
     assert list(an.class_edges(BRAID)) == [(0, 0)]
-    assert an.class_graph(BRAID) == LabeledGraph(labels=("B1",), edges=())
+    assert form(build_class_graph(an, BRAID)) == (["B1"], {COMMUTATION: []}, None)
     assert not an.class_graph_bipartite(BRAID)
     assert an.class_graph_bipartite(COMMUTATION)
     violations = verify_permutation(w, checks=frozenset({"graphs"})).violations
