@@ -75,6 +75,7 @@ from .weak_order import (
     interval,
     interval_by_closure,
     interval_widths,
+    iter_widths,
     predicts_circuit_free,
     support,
 )

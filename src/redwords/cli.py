@@ -312,7 +312,7 @@ def _cmd_check(args) -> int:
     if record.skipped:
         raise WordCapExceeded(w.window, count_words(w), args.cap)
     if args.format == "json":
-        print(_canonical(record.to_json_obj()))
+        sys.stdout.write(record.line())
     else:
         print(f"window: {window_text(w)}")
         for label, field in _CHECK_FIELDS:

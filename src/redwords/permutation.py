@@ -14,7 +14,7 @@ s_i swaps the entries in window positions i and i+1 for 1 <= i <= n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 # The workloads built on top of this module are factorial in n, so a large
@@ -105,8 +105,7 @@ class Permutation:
         Computed once per instance, as are the two predicates below; equality,
         hashing and pickling read only the window.
         """
-        w = self.window
-        return tuple((a, b) for i, a in enumerate(w) for b in w[i + 1:] if a > b)
+        return tuple([(a, b) for a, b in combinations(self.window, 2) if a > b])
 
     def right_descents(self) -> set[int]:
         """{i : w(i) > w(i+1)}; empty exactly for the identity."""

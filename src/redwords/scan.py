@@ -13,8 +13,8 @@ set exceeds the cap are recorded as skipped, but the achiever tallies use
 the enumeration-free predicates and therefore remain exact.
 
 Records travel as their lines.  Each batch of work comes back from the
-process that verified it as its records' finished JSON lines, encoded as
-``ScanReport.lines`` writes them, and one tally of what the report counts:
+process that verified it as its records' finished JSON lines, each written
+by ``ScanRecord.line``, and one tally of what the report counts:
 the predicate and skip counts, each violation, the braid-nonconforming
 windows and the conjecture counterexamples, with windows named by the index
 that travels with each work item.  This process puts each line at its
@@ -86,11 +86,22 @@ any violation is verified again with its own: every record is the one that
 checks never group windows.
 
 The weak-order columns never enumerate R(w).  ``support_size`` is read off
-the window.  Every ``width`` comes from one ``interval_widths`` pass over
-S_n, made once per scan, in a pool worker when there is a pool, while this
-process orders the permutations.  On 2 vCPUs the pass alone takes 0.5-0.6 s
-and 28 MB for n = 8, 6.1-7.2 s and 128 MB for n = 9, and 77-86 s and
-1.19 GB for n = 10.
+the window.  Every ``width`` comes from one pass over S_n
+(``weak_order.iter_widths``), made once per scan.  At one worker it runs in
+this process.  In a pool it runs in one worker, which sends the widths on a
+queue as it makes them, and this process submits each batch, in order, as
+soon as every width the batch needs has arrived, so the other workers
+verify while the pass goes on.  While it waits for widths, this process
+watches the pass, so a pass that raises, or whose worker dies, fails the
+scan instead of leaving it waiting.  A scan that enumerates R(w) submits
+w0's orbit first, which needs the last width, so it waits for the whole
+pass; the others submit the windows in order, in even batches of at most
+n!/(8 * workers), since they all cost about the same.  On 2 vCPUs the pass
+alone takes 0.5-0.6 s and 28 MB for n = 8, 6.1-7.2 s and 128 MB for
+n = 9, and 77-86 s and 1.19 GB for n = 10; the weak-order scan of S_9 at 2
+workers takes 8.2-10.8 s, with a peak of 265-267 MB in this process,
+against 14.9-16.3 s and 292 MB when every batch waited for the whole pass
+and the records went through the generic JSON encoder.
 """
 
 from __future__ import annotations
@@ -99,11 +110,11 @@ import json
 import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from itertools import permutations as _lex_windows
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -123,12 +134,14 @@ from .weak_order import (
     SKIPPED,
     classify_conjecture,
     interval_by_closure,
-    interval_widths,
+    iter_widths,
     predicts_circuit_free,
     support,
 )
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future
+
     from .graphs import Analysis
 
 SCHEMA_VERSION = 1
@@ -188,10 +201,37 @@ class ScanRecord:
     conjecture_status: str | None = None
     violations: tuple[str, ...] = ()
 
-    def to_json_obj(self) -> dict:
-        """The record's JSON object, its keys already in canonical order."""
-        obj = {**vars(self), "schema": SCHEMA_VERSION, "type": "record"}
-        return {key: obj[key] for key in _RECORD_KEYS}
+    def line(self) -> str:
+        """The record's JSON line, ending in a newline.
+
+        The bytes are those of ``json.dumps`` of the record's object with
+        sorted keys and no spaces, the canonical form of every output: the
+        fields fill one template whose keys are in that order, and only the
+        strings, ``skipped``, ``conjecture_status`` and each violation, go
+        through the JSON encoder.
+        """
+        flag, text = _JSON_FLAGS, _COMPACT.encode
+        return _RECORD_LINE % (
+            flag[self.achieves_lower],
+            flag[self.achieves_upper],
+            "null" if self.b is None else self.b,
+            flag[self.braid_shape_conforming],
+            "null" if self.c is None else self.c,
+            flag[self.circuit_free],
+            "null" if self.conjecture_status is None else text(self.conjecture_status),
+            flag[self.fully_commutative],
+            self.length,
+            flag[self.lower_predicate],
+            self.n,
+            "null" if self.r is None else self.r,
+            flag[self.single_braid_class],
+            "null" if self.skipped is None else text(self.skipped),
+            "null" if self.support_size is None else self.support_size,
+            flag[self.upper_predicate],
+            ",".join(map(text, self.violations)),
+            "null" if self.width is None else self.width,
+            ",".join(map(str, self.window)),
+        )
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScanRecord":
@@ -200,8 +240,16 @@ class ScanRecord:
         return cls(**values)
 
 
-_RECORD_KEYS = tuple(sorted([f.name for f in fields(ScanRecord)] + ["schema", "type"]))
-# Encodes a record object, whose keys are already sorted, as _canonical does.
+# The template of ``ScanRecord.line``: every key in sorted order, the two
+# constant values filled in, the two arrays bracketed.
+_RECORD_LINE = "{%s}\n" % ",".join(
+    f'"{key}":' + {
+        "schema": str(SCHEMA_VERSION), "type": '"record"', "violations": "[%s]", "window": "[%s]"
+    }.get(key, "%s")
+    for key in sorted([f.name for f in fields(ScanRecord)] + ["schema", "type"])
+)
+_JSON_FLAGS = {None: "null", False: "false", True: "true"}
+# Encodes the strings of a record as _canonical does.
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -433,10 +481,9 @@ def _encoded(indexed: Iterable[tuple[int, ScanRecord]]) -> tuple[list[str], _Tal
     """The lines of (window index, record) pairs, in their order, each ending
     in a newline, and their tally.  Every record of the output is encoded
     here, whether computed or resumed."""
-    encode = _COMPACT.encode
     lines, tally = [], _Tally()
     for k, rec in indexed:
-        lines.append(encode(rec.to_json_obj()) + "\n")
+        lines.append(rec.line())
         tally.add(k, rec)
     return lines, tally
 
@@ -471,6 +518,50 @@ _certified: set | None = None
 def _start_certifying() -> None:
     global _certified
     _certified = set()
+
+
+# The queue on which a pool worker's width pass sends its widths to the
+# scan's process: set in each worker of a scan's pool.
+_width_queue = None
+
+# Widths per message of the pass: 79 messages for S_8, 709 for S_9.  A
+# message of 512 widths pickles to at most 2.6 kB (5 bytes a width), under
+# the 4,096 bytes that POSIX writes to a pipe whole, so a worker that dies
+# while sending never leaves part of a message for this process to wait on.
+_WIDTH_CHUNK = 512
+
+
+def _start_worker(width_queue) -> None:
+    """The initializer of a scan's pool workers."""
+    global _width_queue
+    _start_certifying()
+    _width_queue = width_queue
+
+
+def _send_widths(n: int, count: int) -> None:
+    """The width pass in a pool worker: send the first ``count`` widths of
+    S_n, in window order, in lists of ``_WIDTH_CHUNK`` as the pass makes
+    them.  Each put returns once its list is in the queue's pipe, so a pass
+    that has returned has nothing left to send."""
+    widths = islice(iter_widths(n), count)
+    while chunk := list(islice(widths, _WIDTH_CHUNK)):
+        _width_queue.put(chunk)
+
+
+def _receive_widths(width_queue, sender: Future, widths: list[int], count: int) -> None:
+    """Add the widths that arrive from ``_send_widths`` to ``widths`` until it
+    holds ``count``.  Each wait is short and watches the pass: if it raised,
+    or its worker died, this raises, and if it ended without sending them
+    all, this raises too, instead of waiting for widths that never come."""
+    while len(widths) < count:
+        finished = sender.done()
+        if not width_queue.empty():
+            widths += width_queue.get()
+        elif finished:
+            sender.result()
+            raise RuntimeError(f"the width pass sent {len(widths)} of {count} widths")
+        else:
+            wait([sender], timeout=0.005)
 
 
 def _verify_orbit(verify, word_cap: int, orbit: tuple) -> Iterator[tuple[int, ScanRecord]]:
@@ -515,6 +606,13 @@ def _orbits(windows: list[tuple[int, ...]], order: list[int]) -> list[list[int]]
         key = min(w.window, v.window, w.complement().window, v.complement().window)
         orbits.setdefault(key, []).append(k)
     return list(orbits.values())
+
+
+def _even_batches(todo: list[int], workers: int, total: int) -> list[list[int]]:
+    """Split indices in window order into batches of one size, at most
+    1/(8 * workers) of ``total``, for work items that all cost about the same."""
+    size = max(1, total // (workers * 8))
+    return [todo[start:start + size] for start in range(0, len(todo), size)]
 
 
 def _costliest_first(order: list, workers: int, total: int | None = None) -> list[list]:
@@ -571,46 +669,40 @@ def _scan(options: ScanOptions) -> ScanReport:
     del existing, encoded
     todo = [k for k, line in enumerate(lines) if line is None]
 
+    # Work items go out in batches.  Scans that enumerate R(w) group the
+    # windows by symmetry orbit and send the costliest orbits first, in
+    # small batches; the other scans send windows in order, in even batches,
+    # since they all cost about the same.
+    grouped = bool(options.checks & _ENUMERATING)
     # The pool forks all its workers at the first task, and workers beyond
     # the core count add memory but no speed, so at most one per core starts.
     workers = min(options.workers, os.cpu_count() or 1)
-    pooled = workers > 1 and len(todo) > 1
-    context = None
-    if pooled and options.checks & _ENUMERATING and sys.platform == "linux":
-        # The word engine and numpy, loaded once here, are inherited by every
-        # forked worker instead of imported again in each.  Only fork passes
-        # them on, and Python 3.14 makes forkserver the default, so the pool
-        # is pinned to fork; elsewhere the workers import them as before.
-        from . import graphs  # noqa: F401
+    if grouped:
+        orbits = _orbits(windows, _longest_first(windows, todo))
+        batches = _costliest_first(orbits, workers, len(todo))
+    else:
+        batches = _even_batches(todo, workers, len(windows))
+    # If a check needs widths, each batch needs those up to its last window.
+    indices = chain.from_iterable if grouped else iter
+    needs = [1 + max(indices(batch)) if options.checks & _NEED_WIDTH else 0 for batch in batches]
+    widths: list[int] = []
 
-        context = multiprocessing.get_context("fork")
-    pool_context = (
-        ProcessPoolExecutor(workers, mp_context=context, initializer=_start_certifying)
-        if pooled
-        else nullcontext()
-    )
-    grouped = bool(options.checks & _ENUMERATING)
-    with pool_context as pool:
-        mapper = pool.map if pool else map
-        # With a pool the pass runs in a worker, so its polynomials never add
-        # to the peak of this process, which holds every line; pool.map
-        # submits it at once, and this process sorts while it runs.
-        pending = mapper(interval_widths, [n]) if options.checks & _NEED_WIDTH and todo else None
-        order = _longest_first(windows, todo)
-        orbits = _orbits(windows, order) if grouped else None
-        widths = next(pending) if pending else None
-
+    def work(batch: list) -> list[tuple]:
         def item(k: int) -> tuple[int, tuple[int, ...], int | None]:
-            return k, windows[k], None if widths is None else widths[k]
+            return k, windows[k], widths[k] if widths else None
 
-        items = [tuple(map(item, orbit)) for orbit in orbits] if grouped else list(map(item, order))
-        batches = _costliest_first(items, workers, len(order))
-        verify = partial(_verify_batch, options.checks, options.word_cap)
-        for batch, (batch_lines, batch_tally) in zip(batches, mapper(verify, batches)):
-            triples = chain.from_iterable(batch) if grouped else batch
-            for (k, _, _), line in zip(triples, batch_lines):
-                lines[k] = line
-            tally.merge(batch_tally)
+        return [tuple(map(item, orbit)) for orbit in batch] if grouped else list(map(item, batch))
+
+    verify = partial(_verify_batch, options.checks, options.word_cap)
+    if workers > 1 and len(todo) > 1:
+        results = _pooled(options, workers, verify, work, batches, needs, widths)
+    else:
+        widths += islice(iter_widths(n), max(needs, default=0))
+        results = (verify(work(batch)) for batch in batches)
+    for batch, (batch_lines, batch_tally) in zip(batches, results):
+        for k, line in zip(indices(batch), batch_lines):
+            lines[k] = line
+        tally.merge(batch_tally)
 
     violations = sorted(tally.violations, key=lambda kv: kv[0])
     report = ScanReport(
@@ -643,6 +735,65 @@ def _scan(options: ScanOptions) -> ScanReport:
             "statements, e.g. " + "; ".join(examples)
         )
     return report
+
+
+def _pooled(options: ScanOptions, workers: int, verify, work, batches: list, needs: list[int],
+            widths: list[int]) -> list[tuple[list[str], _Tally]]:
+    """``verify`` of the ``work`` of each batch, run by a pool of ``workers``.
+
+    If the batches need widths, one worker runs the width pass and streams
+    them to this process, into ``widths``.  Each batch is submitted, in
+    order, as soon as the first ``needs`` widths have arrived, so the other
+    workers verify while the pass goes on.  The pass never runs here, where
+    its polynomials would add to the peak of the process that holds every
+    line.
+    """
+    count = max(needs)
+    context = None
+    if options.checks & _ENUMERATING and sys.platform == "linux":
+        # The word engine and numpy, loaded once here, are inherited by every
+        # forked worker instead of imported again in each.  Only fork passes
+        # them on, and Python 3.14 makes forkserver the default, so the pool
+        # is pinned to fork; elsewhere the workers import them as before.
+        from . import graphs  # noqa: F401
+
+        context = multiprocessing.get_context("fork")
+    width_queue = (context or multiprocessing.get_context()).SimpleQueue()
+    sender = None
+    try:
+        with ProcessPoolExecutor(
+            workers, mp_context=context, initializer=_start_worker, initargs=(width_queue,)
+        ) as pool:
+            try:
+                sender = pool.submit(_send_widths, options.n, count) if count else None
+                futures = []
+                for batch, need in zip(batches, needs):
+                    _receive_widths(width_queue, sender, widths, need)
+                    futures.append(pool.submit(verify, work(batch)))
+                return [future.result() for future in futures]
+            except BaseException as exc:
+                # A pass still running stops sending once the queue's pipe
+                # is full, and its worker could not end: take what it sends
+                # until it is done.  Then drop the batches not yet started
+                # and wait for every worker to end.  A shutdown that does
+                # not wait would leave nothing for the pool's own exit to
+                # wait for, so workers could outlive the scan.
+                while sender and not sender.done():
+                    if width_queue.empty():
+                        wait([sender], timeout=0.005)
+                    else:
+                        width_queue.get()
+                if isinstance(exc, BrokenProcessPool) and sys.version_info < (3, 11):
+                    # Python 3.10 keeps this process's end of the pool's
+                    # call queue open after its workers die, so the thread
+                    # that feeds them work can block on a full pipe for
+                    # ever, and so would the shutdown that waits for it
+                    # (python/cpython#94777, fixed in 3.11).
+                    pool._call_queue._reader.close()
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        width_queue.close()
 
 
 def _load_existing(options: ScanOptions) -> dict[tuple[int, ...], ScanRecord]:

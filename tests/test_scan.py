@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,43 @@ def test_scan_records_are_sorted_and_typed():
     assert last["closed_form_match"] is True
 
 
+def _reference_line(rec):
+    """The record's line as the JSON encoder writes its object."""
+    obj = {**vars(rec), "schema": 1, "type": "record"}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("cap", [2_000_000, 10])
+def test_record_lines_are_those_of_the_json_encoder(scan_s5, cap):
+    rep = scan_s5 if cap == 2_000_000 else scan(ScanOptions(n=5, word_cap=cap))
+    assert (rep.skipped_count > 0) == (cap == 10)
+    for rec, line in zip(rep.records, rep.record_lines):
+        assert rec.line() == line == _reference_line(rec)
+
+
+def test_record_lines_of_doctored_records_are_those_of_the_json_encoder():
+    rec = verify_permutation(parse_window("[25314]"))
+    strings = ('a "quoted" word', "a back\\slash", "100 % sure", "two\nlines", "\u00e9t\u00e9 \u2713")
+    for status in (
+        None,
+        "agree",
+        "skipped",
+        "counterexample:predicate_without_lower_bound",
+        "counterexample:lower_bound_without_predicate",
+    ):
+        for violations in ((), strings[:1], strings):
+            doctored = ScanRecord(**{
+                **vars(rec), "conjecture_status": status, "violations": violations
+            })
+            assert doctored.line() == _reference_line(doctored)
+    unchecked = ScanRecord(**{
+        **vars(verify_permutation(parse_window("[21]"), checks=frozenset())),
+        "skipped": 'cap "%s"',
+    })
+    assert unchecked.r is None and unchecked.width is None
+    assert unchecked.line() == _reference_line(unchecked)
+
+
 def test_scan_worker_determinism():
     one = scan(ScanOptions(n=4, workers=1)).jsonl()
     many = scan(ScanOptions(n=4, workers=3)).jsonl()
@@ -352,13 +390,13 @@ def test_scan_worker_determinism():
 def test_scan_starts_at_most_one_worker_per_cpu(monkeypatch):
     # A stand-in pool records its size and runs the work in this process,
     # so no worker is ever forked here.
-    started, mapped, contexts = [], [], []
+    started, submitted, contexts = [], [], []
 
     class SerialPool:
-        def __init__(self, max_workers, mp_context=None, initializer=None):
+        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
             started.append(max_workers)
             contexts.append(mp_context)
-            initializer()
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -366,12 +404,15 @@ def test_scan_starts_at_most_one_worker_per_cpu(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            items = list(items)
-            mapped.append(items)
-            return map(fn, items)
+        def submit(self, fn, *args):
+            submitted.append((fn, args))
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(scan_module, "ProcessPoolExecutor", SerialPool)
+    # The initializer sets the width queue of the process it runs in.
+    monkeypatch.setattr(scan_module, "_width_queue", None)
     expected = scan(ScanOptions(n=5, workers=1)).jsonl()
     assert started == []
 
@@ -382,19 +423,25 @@ def test_scan_starts_at_most_one_worker_per_cpu(monkeypatch):
     # which alone hands the workers the word engine loaded here.
     if sys.platform == "linux":
         assert contexts[0].get_start_method() == "fork"
-    # The width pass, then the batches, sized for three workers: one
-    # permutation each, then two each.
-    assert mapped[0] == [5]
-    assert [len(batch) for batch in mapped[1][:6]] == [1, 1, 1, 2, 2, 2]
+    # The width pass of all 120 windows, then the batches, sized for three
+    # workers: one orbit each, then two each.
+    assert submitted[0] == (scan_module._send_widths, (5, 120))
+    assert [len(batch) for _, (batch,) in submitted[1:7]] == [1, 1, 1, 2, 2, 2]
 
     monkeypatch.setattr(scan_module.os, "cpu_count", lambda: None)
     assert scan(ScanOptions(n=5, workers=100_000)).jsonl() == expected
     assert started == [3]
 
     # A scan that never enumerates keeps the platform's default start method.
+    # Its windows go in order, in even batches of 120 / (8 * 2).
     monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 2)
+    submitted.clear()
     scan(ScanOptions(n=5, checks=frozenset({"weak_order"}), workers=2))
     assert started == [3, 2] and contexts[-1] is None
+    assert submitted[0] == (scan_module._send_widths, (5, 120))
+    batches = [[k for k, _, _ in batch] for _, (batch,) in submitted[1:]]
+    assert [k for batch in batches for k in batch] == list(range(120))
+    assert {len(batch) for batch in batches[:-1]} == {7}
 
 
 @pytest.mark.parametrize("n,workers", [(4, 3), (6, 2), (8, 2)])
@@ -411,6 +458,17 @@ def test_pool_batches_cover_every_permutation_longest_first(n, workers):
     assert batches[0] == [(tuple(range(n, 0, -1)), (), 0)]
     cap = len(args) // (workers * 8)
     assert all(1 <= len(batch) <= max(1, cap) for batch in batches)
+
+
+@pytest.mark.parametrize("n,workers", [(4, 3), (6, 2), (8, 2)])
+def test_pool_batches_of_a_scan_that_does_not_enumerate_are_even_and_in_order(n, workers):
+    total = len(list(scan_module._lex_windows(range(1, n + 1))))
+    todo = list(range(0, total, 3))
+    batches = scan_module._even_batches(todo, workers, total)
+    assert [k for batch in batches for k in batch] == todo
+    size = max(1, total // (workers * 8))
+    assert all(len(batch) == size for batch in batches[:-1])
+    assert 1 <= len(batches[-1]) <= size
 
 
 def test_weak_order_scan_is_the_same_by_width_pass_and_by_closure():
@@ -631,14 +689,14 @@ def test_a_pooled_scan_encodes_no_computed_record_in_this_process(tmp_path, monk
     # with the id of the process that made it: forked workers inherit the
     # wrapper and log theirs to the same file.
     log = tmp_path / "encoded.log"
-    real = ScanRecord.to_json_obj
+    real = ScanRecord.line
 
     def logged(rec):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {list(rec.window)}\n")
         return real(rec)
 
-    monkeypatch.setattr(ScanRecord, "to_json_obj", logged)
+    monkeypatch.setattr(ScanRecord, "line", logged)
     monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 2)
     pooled = scan(ScanOptions(n=5, workers=2)).jsonl()
     # Workers started by spawn do not inherit the wrapper and log nothing.
@@ -784,3 +842,114 @@ def test_scan_resume_requires_the_same_checks_and_cap(tmp_path, monkeypatch):
     assert computed == []
     scan(ScanOptions(n=4, checks=frozenset({"graphs"}), word_cap=100, output_path=str(out)))
     assert len(computed) == 24
+
+
+def test_a_weak_order_scan_of_s7_is_the_same_at_one_and_two_workers_and_resumed(
+    tmp_path, monkeypatch
+):
+    # Two workers stream the widths from a pool worker, one computes them
+    # here.  A file cut off mid-line has no report line and is recomputed
+    # whole; one that lost its first 2,520 records (and kept its report)
+    # needs only their widths, so the pass stops there.
+    monkeypatch.setattr(scan_module.os, "cpu_count", lambda: 2)
+    options = dict(n=7, checks=frozenset({"weak_order"}))
+    fresh = scan(ScanOptions(**options)).jsonl()
+    assert _sha256(fresh) == (
+        "34b06a0a706a9d5f572e7cbdf08ba0446a57bca44788337e462da14751bf6ea2"
+    )
+    lines = fresh.splitlines(keepends=True)
+    out = tmp_path / "s7.jsonl"
+    for workers in (1, 2):
+        assert scan(ScanOptions(**options, workers=workers)).jsonl() == fresh
+        for kept in ("".join(lines[:2000]) + lines[2000][:40], "".join(lines[2520:])):
+            out.write_text(kept)
+            scan(ScanOptions(**options, workers=workers, output_path=str(out)))
+            assert out.read_text() == fresh
+
+
+_FAILING_PASS = """
+import importlib, itertools, multiprocessing, os, sys, threading
+from concurrent.futures.process import BrokenProcessPool
+
+from redwords.scan import ScanOptions
+from redwords.weak_order import iter_widths
+
+scan_module = importlib.import_module("redwords.scan")
+multiprocessing.set_start_method("fork")
+os.cpu_count = lambda: 2
+fds = len(os.listdir("/proc/self/fd"))
+options = ScanOptions(n=8, checks=frozenset({"weak_order"}), workers=2)
+receive_widths = scan_module._receive_widths
+
+
+def failing(how):
+    def widths(n):
+        for k, width in enumerate(iter_widths(n)):
+            if k == 30_000:
+                if how == "raise":
+                    raise ArithmeticError("the pass broke")
+                os._exit(3)
+            yield width
+    return widths
+
+
+def stopping(width_queue, sender, widths, count):
+    if count > 5_000:
+        raise LookupError("this process stopped")
+    receive_widths(width_queue, sender, widths, count)
+
+
+def run(label, expected=()):
+    try:
+        outcome = scan_module.scan(options).total
+    except expected as exc:
+        outcome = type(exc).__name__
+    # Counted as soon as the scan is over: nothing may end later.
+    print(label, outcome, multiprocessing.active_children(), threading.active_count(),
+          len(os.listdir("/proc/self/fd")) - fds)
+
+
+for how in ("raise", "die"):
+    scan_module.iter_widths = failing(how)
+    run(how, (ArithmeticError, BrokenProcessPool))
+# 40,320 widths of 5 bytes each overfill the pipe once this process stops
+# reading them.
+scan_module.iter_widths = lambda n: itertools.repeat(100_000)
+scan_module._receive_widths = stopping
+run("stop", LookupError)
+scan_module.iter_widths = iter_widths
+scan_module._receive_widths = receive_widths
+run("ok")
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks its pool, reads /proc/self/fd")
+def test_a_width_pass_that_fails_in_a_worker_fails_the_scan():
+    # The pass raises, and then its worker dies, after sending 30,000 widths;
+    # each scan must raise, not wait for the rest.  A scan that raises here
+    # while the pass still sends must not wait for it either.  When any of
+    # them is over, no worker, thread or pipe is left, as when a scan
+    # succeeds.  A hung scan fails the test at the timeout, and its whole
+    # process group is killed.
+    repo_src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FAILING_PASS],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={"PYTHONPATH": str(repo_src), "PATH": "/usr/bin:/bin"},
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, 9)
+            proc.communicate()
+    assert proc.returncode == 0, stderr
+    assert stdout.splitlines() == [
+        "raise ArithmeticError [] 1 0",
+        "die BrokenProcessPool [] 1 0",
+        "stop LookupError [] 1 0",
+        "ok 40320 [] 1 0",
+    ]
