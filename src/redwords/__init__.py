@@ -26,19 +26,6 @@ from .characterizations import (
     upper_predicate,
     word_matches_lower_template,
 )
-from .coxeter_moves import (
-    BRAID,
-    COMMUTATION,
-    INDEPENDENT,
-    OVERLAPPING,
-    Move,
-    apply_braid,
-    apply_commutation,
-    classify_pair,
-    neighbors,
-    supports_braid,
-    supports_commutation,
-)
 from .errors import InvariantViolation, WordCapExceeded
 from .permutation import (
     MAX_N,
@@ -51,13 +38,14 @@ from .permutation import (
     window_text,
 )
 from .reduced_words import (
+    BRAID,
+    COMMUTATION,
     DEFAULT_WORD_CAP,
     Word,
     WordSet,
     count_words,
     enumerate_words,
     evaluate,
-    is_reduced,
     parse_word,
     word_text,
 )
@@ -86,10 +74,8 @@ _LAZY = {
     **dict.fromkeys((
         "ClassPartition",
         "braid_class_shape",
-        "class_closure",
         "partition_with_edges",
         "path_product_edge_count",
-        "verify_braid_class_graph",
     ), "classes"),
     **dict.fromkeys((
         "Analysis",

@@ -17,9 +17,7 @@ of w0 of S_6 take 45-56 ms and those of ``[7362541]`` 0.60-0.63 s, against
 edges: each word points one move down towards its class's normal form, by
 the same rank arithmetic, and the classes of w0 of S_6 take 33-44 ms and
 those of ``[7362541]`` 0.25-0.33 s, against 76 ms and 0.66 s for the
-components of their edges.  ``verify_braid_class_graph``, which takes word
-lists that are no R(w), reads its moves from the word-level
-``coxeter_moves.neighbors``.
+components of their edges.
 """
 
 from __future__ import annotations
@@ -29,9 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coxeter_moves import BRAID, COMMUTATION, neighbors
 from .permutation import lazy
-from .reduced_words import Blocks, Word, WordSet, row_keys
+from .reduced_words import BRAID, COMMUTATION, Blocks, WordSet, row_keys
 
 
 class IndexPairs:
@@ -370,26 +367,6 @@ def partition_with_edges(word_set: WordSet, kind: str) -> tuple[ClassPartition, 
     return ClassPartition(kind, word_set, components(len(word_set), edges)), edges
 
 
-def class_closure(word: Sequence[int], kind: str) -> list[Word]:
-    """The full class of a single word under moves of one kind, sorted.
-
-    Breadth-first closure; does not require enumerating all of R(w), so it
-    works on words whose permutation has an intractably large word set.
-    """
-    start = bytes(word)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for move, v in neighbors(u):
-                if move.kind == kind and v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return sorted(seen)
-
-
 def braid_class_shape(size: int, length: int) -> tuple[int, int] | None:
     """The shape (x, y) of a braid class of ``size`` words of ``length`` letters.
 
@@ -421,30 +398,3 @@ def path_product_edge_count(x: int, y: int) -> int:
         edges += 2 * y * 2**x * 3 ** (y - 1)
     return edges
 
-
-def verify_braid_class_graph(class_words: Sequence[Word], length: int) -> bool:
-    """Check a braid class against the path-product structure theorem.
-
-    True iff the class has 2^x * 3^y elements, its internal braid-move graph
-    is connected and bipartite, and the edge count matches the product of x
-    two-vertex paths with y three-vertex paths.  The words need not be an
-    R(w), so their braid moves come from the word-level ``neighbors``.
-    """
-    shape = braid_class_shape(len(class_words), length)
-    if shape is None:
-        return False
-    index = {bytes(u): k for k, u in enumerate(class_words)}
-    if len(index) != len(class_words) or len({len(u) for u in index}) != 1:
-        return False  # repeated words, or words of different lengths: not a class
-    edges = []
-    for k, u in enumerate(index):
-        for move, v in neighbors(u):
-            if move.kind == BRAID:
-                if v not in index:
-                    return False  # a braid move escapes the given set: not a class
-                if index[v] > k:
-                    edges.append((k, index[v]))
-    if len(edges) != path_product_edge_count(*shape):
-        return False
-    n = len(class_words)
-    return not components(n, edges).any() and not len(odd_components(n, edges))

@@ -20,10 +20,9 @@ from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .characterizations import catalan, count_lower, count_upper
-from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation, WordCapExceeded
 from .permutation import Permutation, parse_window, window_text
-from .reduced_words import DEFAULT_WORD_CAP, enumerate_words
+from .reduced_words import BRAID, COMMUTATION, DEFAULT_WORD_CAP, enumerate_words
 from .scan import CHECK_GROUPS, ScanOptions, _canonical, scan
 from .weak_order import interval_by_closure
 

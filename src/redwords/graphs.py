@@ -30,10 +30,11 @@ from .classes import (
     partition_with_edges,
     path_product_edge_count,
 )
-from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation
 from .permutation import Permutation, lazy
 from .reduced_words import (
+    BRAID,
+    COMMUTATION,
     DEFAULT_WORD_CAP,
     FLIPS,
     WordSet,

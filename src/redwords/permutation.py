@@ -112,15 +112,6 @@ class Permutation:
         w = self.window
         return {i for i in range(1, len(w)) if w[i - 1] > w[i]}
 
-    def multiply_right(self, i: int) -> "Permutation":
-        """w * s_i: swap window positions i and i+1. Length changes by exactly 1."""
-        w = self.window
-        if not 1 <= i <= len(w) - 1:
-            raise ValueError(f"generator index {i} out of range 1..{len(w) - 1}")
-        win = list(w)
-        win[i - 1], win[i] = win[i], win[i - 1]
-        return Permutation(tuple(win))
-
     def inverse(self) -> "Permutation":
         """The group inverse; reverses every reduced word of w."""
         inv = [0] * len(self.window)

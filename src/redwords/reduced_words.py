@@ -63,11 +63,6 @@ def evaluate(word: Sequence[int], n: int) -> Permutation:
     return Permutation(tuple(win))
 
 
-def is_reduced(word: Sequence[int], n: int) -> bool:
-    """True iff the word's product has length equal to the word's length."""
-    return evaluate(word, n).length() == len(word)
-
-
 class WordSet:
     """The complete R(target), sorted lexicographically and duplicate-free.
 

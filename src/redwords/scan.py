@@ -125,10 +125,9 @@ from .characterizations import (
     lower_predicate_pattern,
     upper_predicate,
 )
-from .coxeter_moves import BRAID, COMMUTATION
 from .errors import InvariantViolation, WordCapExceeded
 from .permutation import MAX_N, Permutation, inversion_count, lazy
-from .reduced_words import DEFAULT_WORD_CAP
+from .reduced_words import BRAID, COMMUTATION, DEFAULT_WORD_CAP
 from .weak_order import (
     AGREE,
     SKIPPED,

@@ -13,23 +13,27 @@ import time
 from itertools import product
 
 from redwords.characterizations import count_lower, count_upper
-from redwords.classes import (
-    braid_class_shape,
+from redwords.classes import braid_class_shape
+from redwords.cli import run as cli_run
+from redwords.graphs import Analysis, analyse, build_table
+from redwords.permutation import all_permutations, parse_window
+from redwords.reduced_words import (
+    BRAID,
+    COMMUTATION,
+    enumerate_words,
+    evaluate,
+    parse_word,
+    word_text,
+)
+from redwords.scan import ScanOptions, scan
+from redwords.weak_order import interval, interval_by_closure
+
+from word_moves import (
+    apply_braid,
+    apply_commutation,
     class_closure,
     verify_braid_class_graph,
 )
-from redwords.cli import run as cli_run
-from redwords.coxeter_moves import (
-    BRAID,
-    COMMUTATION,
-    apply_braid,
-    apply_commutation,
-)
-from redwords.graphs import Analysis, analyse, build_table
-from redwords.permutation import all_permutations, parse_window
-from redwords.reduced_words import enumerate_words, evaluate, parse_word, word_text
-from redwords.scan import ScanOptions, scan
-from redwords.weak_order import interval, interval_by_closure
 
 
 def report_line(number: int, name: str, ok: bool) -> None:

@@ -11,10 +11,9 @@ from redwords.characterizations import (
     upper_predicate,
     word_matches_lower_template,
 )
-from redwords.coxeter_moves import BRAID, COMMUTATION
 from redwords.graphs import Analysis, analyse
 from redwords.permutation import all_permutations, from_window, identity, parse_window
-from redwords.reduced_words import enumerate_words, evaluate, parse_word
+from redwords.reduced_words import BRAID, COMMUTATION, enumerate_words, evaluate, parse_word
 from redwords.scan import verify_permutation
 
 

@@ -8,14 +8,11 @@ from redwords.classes import (
     IndexPairs,
     _lowered,
     braid_class_shape,
-    class_closure,
     commutation_partition,
     move_edges,
     partition_with_edges,
     path_product_edge_count,
-    verify_braid_class_graph,
 )
-from redwords.coxeter_moves import BRAID, COMMUTATION, neighbors
 from redwords.graphs import Analysis
 from redwords.permutation import (
     all_permutations,
@@ -24,12 +21,16 @@ from redwords.permutation import (
     parse_window,
 )
 from redwords.reduced_words import (
+    BRAID,
+    COMMUTATION,
     WordSet,
     enumerate_words,
     parse_word,
     row_keys,
     word_text,
 )
+
+from word_moves import class_closure, neighbors, verify_braid_class_graph
 
 
 def letter_rows(words):
@@ -137,6 +138,9 @@ def test_verify_braid_class_graph():
     assert not verify_braid_class_graph(cls[:6], 11)
     # words of different lengths are not a class
     assert not verify_braid_class_graph([parse_word("121"), parse_word("1213")], 4)
+    # a repeated word is not a class, and neither is no word at all
+    assert not verify_braid_class_graph([parse_word("121"), parse_word("121")], 3)
+    assert not verify_braid_class_graph([], 3)
 
 
 def test_braid_cascades_break_the_path_product_model():

@@ -310,6 +310,8 @@ def test_enumeration_free_paths_do_not_load_numpy():
         "    assert name not in sys.modules, name + ' after the predicates'\n"
         "redwords.analyse\n"
         "assert 'numpy' in sys.modules, 'analyse'\n"
+        "for name in redwords.__all__:\n"
+        "    getattr(redwords, name)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

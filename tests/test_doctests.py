@@ -3,7 +3,6 @@ from pathlib import Path
 
 import redwords.characterizations
 import redwords.classes
-import redwords.coxeter_moves
 import redwords.graphs
 import redwords.permutation
 import redwords.reduced_words
@@ -13,7 +12,6 @@ def test_docstring_examples():
     for module in (
         redwords.permutation,
         redwords.reduced_words,
-        redwords.coxeter_moves,
         redwords.classes,
         redwords.graphs,
         redwords.characterizations,

@@ -5,9 +5,7 @@ from redwords.classes import (
     IndexPairs,
     components,
     odd_components,
-    verify_braid_class_graph,
 )
-from redwords.coxeter_moves import BRAID, COMMUTATION
 from redwords.graphs import (
     IndexGraph,
     analyse,
@@ -20,6 +18,9 @@ from redwords.graphs import (
     jump_property,
 )
 from redwords.permutation import all_permutations, identity, parse_window
+from redwords.reduced_words import BRAID, COMMUTATION
+
+from word_moves import verify_braid_class_graph
 
 
 def braid_graph(labels, *pairs):

@@ -61,21 +61,13 @@ def test_right_descents():
     assert longest_element(4).right_descents() == {1, 2, 3}
 
 
-def test_multiply_right():
-    w = from_window([2, 5, 3, 1, 4])
-    assert w.multiply_right(4).window == (2, 5, 3, 4, 1)
-    assert identity(3).multiply_right(1).window == (2, 1, 3)
-    assert identity(3).multiply_right(1).multiply_right(1) == identity(3)
-    with pytest.raises(ValueError):
-        w.multiply_right(0)
-    with pytest.raises(ValueError):
-        w.multiply_right(5)
-
-
 def test_multiply_right_length_steps():
     for w in all_permutations(4):
         for i in range(1, 4):
-            delta = w.multiply_right(i).length() - w.length()
+            # w s_i swaps window positions i and i + 1
+            win = list(w.window)
+            win[i - 1], win[i] = win[i], win[i - 1]
+            delta = from_window(win).length() - w.length()
             assert abs(delta) == 1
             assert (delta == -1) == (i in w.right_descents())
 

@@ -14,7 +14,6 @@ from redwords.reduced_words import (
     count_words,
     enumerate_words,
     evaluate,
-    is_reduced,
     parse_word,
     word_text,
 )
@@ -48,11 +47,12 @@ def test_evaluate_examples():
 
 
 def test_is_reduced():
-    assert is_reduced(parse_word("121"), 3)
-    assert not is_reduced(parse_word("11"), 3)
-    assert is_reduced(parse_word("12432"), 5)
+    # A word is reduced when its product has as many inversions as letters.
+    assert evaluate(parse_word("121"), 3).length() == 3
+    assert evaluate(parse_word("11"), 3).length() != 2
+    assert evaluate(parse_word("12432"), 5).length() == 5
     with pytest.raises(ValueError):
-        is_reduced(bytes((9,)), 3)
+        evaluate(bytes((9,)), 3)
 
 
 def test_enumerate_25314():

@@ -12,10 +12,9 @@ import pytest
 
 import redwords.graphs as graphs
 from redwords.classes import ClassPartition, IndexPairs
-from redwords.coxeter_moves import BRAID, COMMUTATION, neighbors
 from redwords.errors import InvariantViolation
 from redwords.permutation import MAX_N, all_permutations, longest_element, parse_window
-from redwords.reduced_words import word_text
+from redwords.reduced_words import BRAID, COMMUTATION, word_text
 from redwords.scan import (
     ScanOptions,
     ScanRecord,
@@ -23,6 +22,8 @@ from redwords.scan import (
     verify_permutation,
 )
 from redwords.weak_order import interval_by_closure
+
+from word_moves import neighbors
 
 reduced_words = importlib.import_module("redwords.reduced_words")
 scan_module = importlib.import_module("redwords.scan")
