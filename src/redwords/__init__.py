@@ -62,7 +62,6 @@ from .weak_order import (
     conjecture_predicate,
     interval,
     interval_by_closure,
-    interval_widths,
     iter_widths,
     predicts_circuit_free,
     support,

@@ -212,14 +212,13 @@ class Analysis:
     (braid class, commutation class) pairs of the words: the edges of
     Gamma(w) and the filled cells of T(w).  Every answer the scan reads is
     kept once computed, so the scan can read one analysis for each window of
-    a symmetry orbit.  ``certified`` is the set of elements that
-    ``certify_parities`` skips and fills, shared by the analyses of one scan
-    worker; by default the walk starts afresh.
+    a symmetry orbit.  The parity certificate walks only the elements of
+    [e, w] that no earlier call in this process has certified
+    (``certify_parities``).
     """
 
-    def __init__(self, word_set: WordSet, certified: set | None = None):
+    def __init__(self, word_set: WordSet):
         self.word_set = word_set
-        self._certified = certified
         self._partitions: dict[str, ClassPartition] = {}
         self._edges: dict[str, IndexPairs] = {}
         self._bipartite: dict[str, bool] = {}
@@ -289,7 +288,7 @@ class Analysis:
         """The first move of each kind, at an element of [e, w], that breaks
         its parities (``certify_parities``); empty when every move edge of
         R(w) is certified to flip its bit and keep the other."""
-        return certify_parities(self.word_set.target, self._certified, self.word_set.flips)
+        return certify_parities(self.word_set.target, self.word_set.flips)
 
     def parity_break(self, kind: str) -> tuple[str, str] | None:
         """The texts of the two words of the first move of one kind that does
@@ -383,12 +382,9 @@ def _distinct_pairs(a, b) -> IndexPairs:
     return IndexPairs(*np.divmod(keys[first], m))
 
 
-def analyse(
-    w: Permutation, cap: int | None = DEFAULT_WORD_CAP, certified: set | None = None
-) -> Analysis:
-    """Enumerate R(w) under the cap (WordCapExceeded above it) for analysis;
-    ``certified`` as in ``Analysis``."""
-    return Analysis(enumerate_words(w, cap=cap), certified)
+def analyse(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> Analysis:
+    """Enumerate R(w) under the cap (WordCapExceeded above it) for analysis."""
+    return Analysis(enumerate_words(w, cap=cap))
 
 
 _EDGE_STYLE = {COMMUTATION: "solid", BRAID: "dashed", INCIDENCE: "solid"}

@@ -23,7 +23,9 @@ without a search.  ``WordSet.parities`` runs a third recursion of the same
 shape, over inverse windows only, for the two inversion-order parities of
 every word, and ``certify_parities`` walks [e, w] once more with the same
 flip constants to show that every move edge of R(w) flips the parity of its
-kind and keeps the other.
+kind and keeps the other.  The elements it has certified stay certified for
+the life of the process, whichever caller asked, so a process walks each
+element at most once; they are freed only when the process exits.
 """
 
 from __future__ import annotations
@@ -339,7 +341,7 @@ def _flips(inv: tuple[int, ...]) -> list[int]:
 
 
 def certify_parities(
-    w: Permutation, certified: set | None = None, flips: dict | None = None
+    w: Permutation, flips: dict | None = None
 ) -> dict[str, tuple[tuple[int, ...], Word]]:
     """The first move of each kind at position 0 of an element of [e, w] that
     does not flip its parity bit and keep the other (``FLIPS``), as
@@ -353,26 +355,33 @@ def certify_parities(
     every element of [e, w], every move edge of R(w) flips its bit and keeps
     the other.  Since [e, w0] is S_n, one walk at w0 certifies all of S_n.
 
-    ``certified`` holds the inverse windows of elements whose whole lower
-    interval an earlier call certified: the walk skips them and adds each
-    element it certifies, so calls that share it walk no element twice.
+    The walk skips the elements in ``_certified`` and adds each element it
+    certifies, so no call walks an element that an earlier call certified.
     ``flips`` maps inverse windows to the ``_flips`` already read, as
     ``WordSet.flips`` does.
     """
     failures: dict[str, tuple[tuple[int, ...], Word]] = {}
-    done = set() if certified is None else certified
-    _certify(w.inverse().window, done, set(), {} if flips is None else flips, failures)
+    _certify(w.inverse().window, set(), {} if flips is None else flips, failures)
     return failures
 
 
-def _certify(inv, certified: set, failed: set, flips: dict, failures: dict) -> bool:
+# The inverse windows of the elements whose whole lower interval
+# ``certify_parities`` has certified in this process.  Whether an element is
+# certified depends on the flip formulas alone, so, like the cache of
+# ``lower_template_windows``, the set is never cleared.  It holds at most the
+# certified elements of S_1, ..., S_n, about 1.15 n! tuples (6.3 MB traced
+# for all of S_8, 6.9 MB for S_1-S_8); an element that fails is never added.
+_certified: set[tuple[int, ...]] = set()
+
+
+def _certify(inv, failed: set, flips: dict, failures: dict) -> bool:
     """Whether every move at position 0 of every element of [e, u] keeps the
     parities, for the inverse window of u.  The first failures go to
-    ``failures`` as in ``certify_parities``, children first; ``failed``
-    holds the elements of this walk that are not certified, and ``flips``
-    maps inverse windows to their ``_flips``.
+    ``failures`` as in ``certify_parities``, children first; the elements
+    certified go to ``_certified``, and ``failed`` holds those of this walk
+    that are not.  ``flips`` maps inverse windows to their ``_flips``.
     """
-    if inv in certified:
+    if inv in _certified:
         return True
     if inv in failed:
         return False
@@ -382,7 +391,7 @@ def _certify(inv, certified: set, failed: set, flips: dict, failures: dict) -> b
     for i, flip in enumerate(here):
         if flip >= 0:
             kids[i] = _swap(inv, i)
-            ok &= _certify(kids[i], certified, failed, flips, failures)
+            ok &= _certify(kids[i], failed, flips, failures)
     for i, kid in kids.items():
         for j in kids:
             if j > i + 1:  # ab and ba, two letters apart
@@ -401,7 +410,7 @@ def _certify(inv, certified: set, failed: set, flips: dict, failures: dict) -> b
                 ok = False
                 if kind not in failures:
                     failures[kind] = (Permutation(inv).inverse().window, bytes(letters))
-    (certified if ok else failed).add(inv)
+    (_certified if ok else failed).add(inv)
     return ok
 
 

@@ -21,10 +21,7 @@ that travels with each work item.  This process puts each line at its
 window's index, sums the tallies and writes the lines, so it encodes no
 record it computed and holds no ``ScanRecord`` of one;
 ``ScanReport.records`` decodes the lines on first read.  One worker runs
-the same batches in this process.  The weak-order scan of S_9 at 2 workers
-on 2 vCPUs takes 11.0-11.8 s, with a peak of 293 MB in this process,
-against 13.8-15.2 s and 318-322 MB when this process encoded every record
-after the last batch.
+the same batches in this process.
 
 Braid-class shape conformance (size 2^x 3^y with the matching path-product
 edge count) is tallied as a finding rather than enforced: braid moves can
@@ -46,10 +43,12 @@ on each braid (commutation) class, 2-colours G_b (G_c).  Where it fails,
 every move edge of the failing kind is tested and the odd components of
 the bipartite double cover decide, so each verdict stays exact, and a move
 that breaks its parity is a ``graphs`` violation naming its two words.  The
-certificate holds on every element of S_1-S_8.  Each process of a scan
-keeps the elements it has certified, so it walks each element of S_n at
-most once per scan: about 6 ms at n = 6 and 0.4 s at n = 8 when the first
-analysed interval is all of S_n.
+certificate holds on every element of S_1-S_8.  ``reduced_words`` keeps
+the elements a process has certified for as long as the process lives, so
+it walks each element at most once, whichever scan, analysis or CLI request
+asks: about 6 ms for all of S_6 and 0.4 s for all of S_8.  Pool workers
+free theirs when the pool ends; a scan at one worker leaves its elements in
+this process, at most the n! windows of S_n (6.3 MB traced for S_8).
 
 A pooled scan whose checks enumerate R(w) imports the word engine, and with
 it numpy, in this process before the pool forks, so that the workers inherit
@@ -430,16 +429,13 @@ def verify_permutation(
     )
 
 
-def _analyse(
-    w: Permutation, word_cap: int, certified: set | None = None
-) -> Analysis | WordCapExceeded:
-    """The analysis of R(w), or the WordCapExceeded that its size raises;
-    ``certified`` as in ``graphs.Analysis``."""
+def _analyse(w: Permutation, word_cap: int) -> Analysis | WordCapExceeded:
+    """The analysis of R(w), or the WordCapExceeded that its size raises."""
     # The graph modules load numpy, which an enumeration-free scan never needs.
     from .graphs import analyse
 
     try:
-        return analyse(w, cap=word_cap, certified=certified)
+        return analyse(w, cap=word_cap)
     except WordCapExceeded as exc:
         # Without its traceback the exception holds no frame of the count.
         return exc.with_traceback(None)
@@ -506,19 +502,6 @@ def _verify_batch(
     return _encoded(pair for orbit in batch for pair in _verify_orbit(verify, word_cap, orbit))
 
 
-# The elements of S_n whose moves this process has certified to keep their
-# parities in the current scan (``reduced_words.certify_parities``), so that
-# each process walks an element once per scan, not once per interval that
-# holds it: set by ``_start_certifying`` in this process and in each pool
-# worker when a scan starts, and dropped here when it ends.
-_certified: set | None = None
-
-
-def _start_certifying() -> None:
-    global _certified
-    _certified = set()
-
-
 # The queue on which a pool worker's width pass sends its widths to the
 # scan's process: set in each worker of a scan's pool.
 _width_queue = None
@@ -533,7 +516,6 @@ _WIDTH_CHUNK = 512
 def _start_worker(width_queue) -> None:
     """The initializer of a scan's pool workers."""
     global _width_queue
-    _start_certifying()
     _width_queue = width_queue
 
 
@@ -574,7 +556,7 @@ def _verify_orbit(verify, word_cap: int, orbit: tuple) -> Iterator[tuple[int, Sc
     unreduced scan.
     """
     perms = [Permutation(window) for _, window, _ in orbit]
-    shared = _analyse(perms[0], word_cap, _certified)
+    shared = _analyse(perms[0], word_cap)
     for w, (k, _, width) in zip(perms, orbit):
         rec = verify(w, width=width, analysis=shared)
         if rec.violations and w is not perms[0]:
@@ -642,15 +624,6 @@ def scan(options: ScanOptions) -> ScanReport:
     identical to a fresh run.  An output path that cannot be written raises
     OSError before the first permutation is computed, not after the last.
     """
-    global _certified
-    _start_certifying()
-    try:
-        return _scan(options)
-    finally:
-        _certified = None
-
-
-def _scan(options: ScanOptions) -> ScanReport:
     n = options.n
     windows = list(_lex_windows(range(1, n + 1)))
     existing = _load_existing(options)

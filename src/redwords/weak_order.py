@@ -4,10 +4,9 @@ An interval is computed two ways that must agree: by the descent-stripping
 closure that never touches R(w), which every caller in the package uses, or
 by evaluating every prefix of every reduced word of w (each word is a
 maximal chain), which is kept as the independent reference the tests compare
-the closure against.  ``interval_widths`` gives the width alone for every w
-in S_n at once, in one pass that builds each rank polynomial from those of
-smaller intervals by inclusion-exclusion; ``iter_widths`` yields them as the
-pass makes them.
+the closure against.  ``iter_widths`` gives the width alone for every w in
+S_n, in one pass that builds each rank polynomial from those of smaller
+intervals by inclusion-exclusion, and yields each as the pass makes it.
 """
 
 from __future__ import annotations
@@ -111,12 +110,6 @@ def interval_by_closure(w: Permutation) -> WeakInterval:
         ranks=tuple(tuple(sorted(r)) for r in levels),
         support_size=len(support(w)),
     )
-
-
-def interval_widths(n: int) -> list[int]:
-    """The width of [e, w] for every w in S_n, in lexicographic window order:
-    the list of ``iter_widths(n)``."""
-    return list(iter_widths(n))
 
 
 def iter_widths(n: int) -> Iterator[int]:

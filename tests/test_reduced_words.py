@@ -1,5 +1,5 @@
 import gc
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 import numpy as np
@@ -106,6 +106,71 @@ def test_count_examples():
 def test_count_equals_enumeration(n):
     for w in all_permutations(n):
         assert count_words(w) == len(enumerate_words(w))
+
+
+def _vexillary(win):
+    """No 2143 pattern in the window."""
+    return not any(
+        win[b] < win[a] < win[d] < win[c] for a, b, c, d in combinations(range(len(win)), 4)
+    )
+
+
+def _standard_tableaux(shape):
+    """f^shape, the number of standard Young tableaux, by the hook lengths."""
+    cols = [sum(part > j for part in shape) for j in range(shape[0])] if shape else []
+    hooks = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            hooks *= part - j + cols[j] - i - 1
+    return factorial(sum(shape)) // hooks
+
+
+def _transition_count(win, memo):
+    """r(w) from the Stanley symmetric function F_w, with no descent recursion.
+
+    A vexillary w has F_w = s_lambda, lambda its Lehmer code sorted (Stanley
+    1984; Edelman-Greene 1987), so r(w) = f^lambda.  Otherwise the
+    Lascoux-Schutzenberger transition (Little 2003) writes F_w as a sum over
+    children: with r the last descent of w, s the last position after r
+    with w(s) < w(r) and v = w t_rs, the children are the v t_ir, i < r,
+    with v(i) < v(r) and no value of v between them at a position between
+    them; when there is none, F_w = F_(1 x w), w shifted up by a fixed 1.
+    """
+    got = memo.get(win)
+    if got is not None:
+        return got
+    if _vexillary(win):
+        code = [sum(y < x for y in win[i + 1:]) for i, x in enumerate(win)]
+        got = _standard_tableaux(sorted((c for c in code if c), reverse=True))
+    else:
+        n = len(win)
+        r = max(i for i in range(n - 1) if win[i] > win[i + 1])
+        s = max(j for j in range(r + 1, n) if win[j] < win[r])
+        v = list(win)
+        v[r], v[s] = v[s], v[r]
+        kids = []
+        for i in range(r):
+            if v[i] < v[r] and not any(v[i] < v[j] < v[r] for j in range(i + 1, r)):
+                u = v[:]
+                u[i], u[r] = u[r], u[i]
+                kids.append(tuple(u))
+        if kids:
+            got = sum(_transition_count(u, memo) for u in kids)
+        else:
+            got = _transition_count((1, *(x + 1 for x in win)), memo)
+    memo[win] = got
+    return got
+
+
+def test_count_words_equals_the_transition_tree_on_s1_to_s7():
+    # An independent route to r(w): the leaves of the transition tree are
+    # vexillary, and their f^lambda sum to r(w).
+    memo, vexillary = {}, []
+    for n in range(1, 8):
+        perms = list(all_permutations(n))
+        assert [w.window for w in perms if _transition_count(w.window, memo) != count_words(w)] == []
+        vexillary.append(sum(map(_vexillary, (w.window for w in perms))))
+    assert vexillary == [1, 2, 6, 23, 103, 513, 2761]  # OEIS A005802
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -244,18 +309,18 @@ def test_word_set_is_sorted_and_typed():
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_the_parity_certificate_holds_on_every_element_of_s_n(n):
+def test_the_parity_certificate_holds_on_every_element_of_s_n(monkeypatch, n):
     # [e, w0] is all of S_n, so one walk from w0 checks the moves at position
     # 0 of every element, and with them every move edge of every R(w) in
     # S_n; w0 of S_8 takes about 0.4 s.
-    certified = set()
-    assert certify_parities(longest_element(n), certified) == {}
+    monkeypatch.setattr(reduced_words, "_certified", certified := set())
+    assert certify_parities(longest_element(n)) == {}
     assert len(certified) == factorial(n)
 
 
 def test_a_shared_certificate_walks_no_element_twice(monkeypatch):
-    certified = set()
-    assert certify_parities(parse_window("[25314]"), certified) == {}
+    monkeypatch.setattr(reduced_words, "_certified", certified := set())
+    assert certify_parities(parse_window("[25314]")) == {}
     assert len(certified) == 11  # the elements of [e, w] in the left weak order
     before = set(certified)
 
@@ -268,9 +333,9 @@ def test_a_shared_certificate_walks_no_element_twice(monkeypatch):
 
     monkeypatch.setattr(reduced_words, "_flips", counting)
     # [15324] = s_1 [25314] is below it: nothing is walked again.
-    assert certify_parities(parse_window("[15324]"), certified) == {}
+    assert certify_parities(parse_window("[15324]")) == {}
     assert calls == []
     # w0 of S_5 walks the rest of S_5, reading each element's constants once.
-    assert certify_parities(longest_element(5), certified) == {}
+    assert certify_parities(longest_element(5)) == {}
     assert len(certified) == 120
     assert len(calls) == len(set(calls)) and set(calls) >= certified - before

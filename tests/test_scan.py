@@ -146,7 +146,9 @@ def _with_edge(k, v):
 def _doctored_flip(window, letter, bits):
     """XOR the flip constants of block ``letter`` of R(u), u the permutation
     with this window, with ``bits``, wherever they are read: in
-    ``WordSet.parities`` and in the parity certificate."""
+    ``WordSet.parities`` and in the parity certificate, which starts from a
+    fresh memo so that no element certified under the true constants hides
+    the doctored one."""
 
     def doctor(monkeypatch):
         inv = parse_window(window).inverse().window
@@ -160,6 +162,7 @@ def _doctored_flip(window, letter, bits):
             return flips
 
         monkeypatch.setattr(reduced_words, "_flips", doctored)
+        monkeypatch.setattr(reduced_words, "_certified", set())
 
     return doctor
 
@@ -299,6 +302,28 @@ def test_a_scan_builds_no_commutation_edge_while_the_certificate_holds(monkeypat
     rep = scan(ScanOptions(n=5))
     assert rep.violation_count == 0 and rep.skipped_count == 0
     assert COMMUTATION not in kinds and BRAID in kinds
+
+
+def test_every_caller_shares_the_certified_elements(monkeypatch):
+    # Once w0 of S_5 is verified, every element of S_5 is certified, so a
+    # later check of any v in S_5, by the scan's core or by a library
+    # analysis, finds v in the memo and walks none of [e, v].
+    monkeypatch.setattr(reduced_words, "_certified", set())
+    assert verify_permutation(longest_element(5)).violations == ()
+    assert len(reduced_words._certified) == 120
+    calls = []
+    real = reduced_words._certify
+
+    def counting(inv, *args):
+        calls.append(inv)
+        return real(inv, *args)
+
+    monkeypatch.setattr(reduced_words, "_certify", counting)
+    for v in all_permutations(5):
+        for check in (verify_permutation, lambda v: graphs.analyse(v).parity_failures):
+            calls.clear()
+            check(v)
+            assert calls == [v.inverse().window], v.window
 
 
 def test_verify_permutation_enumeration_free():
