@@ -32,7 +32,7 @@ from .reduced_words import BRAID, COMMUTATION, Blocks, WordSet, row_keys
 
 
 class IndexPairs:
-    """Pairs (u[j], v[j]) of vertex indices held as two integer arrays.
+    """Pairs (u[j], v[j]) of vertex indices held as two int32 arrays.
 
     Iterates as plain ``(int, int)`` tuples, so it serves wherever a list of
     pairs would; the graph primitives read the arrays.
@@ -46,7 +46,7 @@ class IndexPairs:
         """The pairs as arrays; an ``IndexPairs`` is returned unchanged."""
         if isinstance(pairs, IndexPairs):
             return pairs
-        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.intp)
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int32)
         return cls(flat[0::2], flat[1::2])
 
     def __len__(self) -> int:
@@ -67,7 +67,7 @@ def _roots(n: int, lo, hi):
     ends as its root.  An edge whose ends share a root is done, so it is
     dropped from later rounds.
     """
-    root = np.arange(n)
+    root = np.arange(n, dtype=lo.dtype)
     while True:
         # One array at a time, so that a large edge set is held at most three
         # times over.
@@ -97,11 +97,14 @@ def _jumped(root):
 
 def _numbered(root):
     """Each vertex's root renumbered 0, 1, ... in the order of the roots."""
-    return (np.cumsum(root == np.arange(len(root))) - 1)[root]
+    ids = np.cumsum(root == np.arange(len(root), dtype=root.dtype), dtype=root.dtype)
+    ids -= 1
+    return ids[root]
 
 
 def components(n: int, edges: IndexPairs | Iterable[tuple[int, int]]):
-    """Component label of each vertex 0..n-1, as an integer array.
+    """Component label of each vertex 0..n-1, as an array of the edges'
+    index type.
 
     Components are numbered in the order of their least vertex.
     """
@@ -118,7 +121,10 @@ def odd_components(n: int, edges: IndexPairs | Iterable[tuple[int, int]]):
     component like any odd cycle.  Returned as a sorted integer array.
     """
     e = IndexPairs.of(edges)
-    root = _roots(2 * n, np.concatenate((e.u, e.v)), np.concatenate((e.v, e.u)) + n)
+    # int64, since 2n can pass 2^31 where n does not.
+    hi = np.concatenate((e.v, e.u), dtype=np.int64)
+    hi += n
+    root = _roots(2 * n, np.concatenate((e.u, e.v), dtype=np.int64), hi)
     return np.unique(root[:n][root[:n] == root[n:]])
 
 
@@ -145,8 +151,7 @@ def move_edges(word_set: WordSet, kind: str) -> IndexPairs:
     n, r = blocks.n, len(rows)
     letters = _letters(rows)
     span = 2 if kind == COMMUTATION else 3
-    jumps = None
-    none = np.empty(0, dtype=np.intp)
+    none = np.empty(0, dtype=np.int32)
     lower, upper, lowering = [none], [none], 0
     for p, cell in _walk(blocks, letters, len(letters) - span + 1):
         a, b = letters[p], letters[p + 1]
@@ -160,9 +165,8 @@ def move_edges(word_set: WordSet, kind: str) -> IndexPairs:
             lowering += np.count_nonzero(equal & (diff == -1))
         k = raising.nonzero()[0]
         if len(k):
-            if jumps is None:
-                jumps = _jumps(blocks, kind)
-            v = jumps.take(cell.take(k) * n + b.take(k), mode="wrap")
+            k = k.astype(np.int32)
+            v = _jumps(blocks, kind).take(cell.take(k) * n + b.take(k), mode="wrap")
             v += k
             np.minimum(v, r - 1, out=v)  # jumps are at least 0, so v is an index
             _check_moves(rows, k, v, p, kind)
@@ -192,12 +196,12 @@ def commutation_partition(word_set: WordSet) -> ClassPartition:
     path of left descents down from w, as the walk's last step shows, and
     they must be strictly increasing and as many as the walk's words.
 
-    The words are taken 2^18 at a time (``_lowered``), and their int32
-    pointers are jumped in one reused buffer, so one call on the 1,747,746
-    words of ``[7362541]`` peaks at 44 MB traced (tracemalloc, letter matrix
-    and blocks already built), against 95 MB with all words taken at once.
-    The batches make that saving: the numbering sets the peak, and int64
-    pointers would reach the same 44 MB.
+    The words are taken 2^18 at a time (``_lowered``), their int32
+    pointers are jumped in one reused buffer, and the classes are numbered
+    as int32, so one call on the 1,747,746 words of ``[7362541]`` peaks at
+    27 MB traced (tracemalloc, letter matrix and blocks already built),
+    against 42 MB with the ids numbered as int64 and 95 MB with all words
+    taken at once.
     """
     rows, blocks = word_set.rows, word_set.blocks
     n, r = blocks.n, len(rows)
@@ -206,26 +210,19 @@ def commutation_partition(word_set: WordSet) -> ClassPartition:
         raise KeyError(f"the {r} rows are not the {blocks.size} words of the walk")
     if rows.size and not 1 <= rows.min() <= rows.max() < n:
         raise KeyError(f"the rows have letters outside 1..{n - 1}")
-    # The pointers are widened before the numbering, whose ids are int64, as
-    # ``components`` gives them.  Numbered as int32 they trace 7 MB lower on
-    # ``[7362541]``, but the w0 worker of a pooled S_6 scan then peaks about
-    # 1 MB higher in RSS (64.2 against 63.1 MB), from where the allocator
-    # then places the ids.
-    root = _jumped(_lowered(rows, blocks)).astype(np.int64)
-    return ClassPartition(COMMUTATION, word_set, _numbered(root))
+    return ClassPartition(COMMUTATION, word_set, _numbered(_jumped(_lowered(rows, blocks))))
 
 
 def _lowered(rows, blocks: Blocks, batch: int = 1 << 18):
     """Each word's pointer one commutation move down, at its first factor
-    x y with x > y + 1, or at itself for a normal form, as int32 (a word
-    set of 2^31 rows would not fit in memory).
+    x y with x > y + 1, or at itself for a normal form, as int32
+    (``enumerate_words`` raises past 2^31 - 1 words).
 
     A word's pointer reads only its own letters and walk, so the words are
     taken ``batch`` rows at a time, and only the pointers are held for all.
     """
     n = blocks.n
     root = np.arange(len(rows), dtype=np.int32)
-    jumps = None
     for start in range(0, len(rows), batch):
         part = rows[start:start + batch]
         letters = _letters(part)
@@ -242,14 +239,13 @@ def _lowered(rows, blocks: Blocks, batch: int = 1 << 18):
             j = (diff < -1).nonzero()[0]  # ab -> ba lowers the word
             j = j[first.take(j)]  # the first such factor of each word
             if len(j):
+                j = j.astype(np.int32)
                 first[j] = False
-                if jumps is None:
-                    jumps = _jumps(blocks, COMMUTATION)
                 k = j + start if start else j  # one add less per position
                 # The cell of the lower word, which has b at p, is cell + diff.
                 v = (cell.take(j) + diff.take(j)) * n
                 v += a.take(j)
-                v = k - jumps.take(v, mode="wrap")
+                v = k - _jumps(blocks, COMMUTATION).take(v, mode="wrap")
                 np.maximum(v, 0, out=v)
                 _check_moves(rows, v, k, p, COMMUTATION)
                 root[k] = v
@@ -273,7 +269,7 @@ def _walk(blocks: Blocks, letters, positions: int):
     cells are one array, overwritten at the next position.
     """
     n = blocks.n
-    step = (blocks.child * n).ravel().astype(np.int32)
+    step = (blocks.child * n).ravel()
     at = np.full(letters.shape[1], blocks.root * n, dtype=np.int32)
     cell = np.empty_like(at)
     for p in range(positions):
@@ -298,11 +294,15 @@ def _jumps(blocks: Blocks, kind: str):
     """v - k for each raising move from word k to word v, flat at
     (u * n + a) * n + b for the element u before the move and its first two
     letters ab: a commutation ab -> ba, or a braid a(a+1)a -> (a+1)a(a+1).
+    An int32 array, made once per kind and kept in ``blocks.jumps``.
 
     The index of a word is the sum of the offsets of its letters' blocks,
     and the two words differ only in those of the moved letters.  Entries
     that are no move of u are never read for the walk's own rows.
     """
+    got = blocks.jumps.get(kind)
+    if got is not None:
+        return got
     child, offset = blocks.child, blocks.offset
     n = child.shape[1]
     # first[u, x, y]: where the words of R(u) that start xy start; for a
@@ -311,11 +311,14 @@ def _jumps(blocks: Blocks, kind: str):
     first += offset[:, :, None]
     if kind == BRAID:
         third = child.take(child, axis=0) * n  # the cell of x after xy
-        third += np.arange(n)[:, None]
+        third += np.arange(n, dtype=np.int32)[:, None]
         first += offset.take(third)
     # A raising move goes up, so a negative entry is no move; at 0 it leads
     # back to the word itself, which the check rejects.
-    return np.maximum(first.transpose(0, 2, 1) - first, 0).ravel()
+    got = first.transpose(0, 2, 1) - first
+    np.maximum(got, 0, out=got)
+    got = blocks.jumps[kind] = got.ravel()
+    return got
 
 
 class ClassPartition:
@@ -324,12 +327,12 @@ class ClassPartition:
     def __init__(self, kind: str, word_set: WordSet, class_of):
         self.kind = kind  # BRAID or COMMUTATION
         self.word_set = word_set
-        self.class_of = class_of  # word index -> class id, an integer array
+        self.class_of = class_of  # word index -> class id, an int32 array
 
     @lazy
     def sizes(self):
-        """Class id -> number of words, an integer array."""
-        return np.bincount(self.class_of)
+        """Class id -> number of words, an int32 array."""
+        return np.bincount(self.class_of).astype(np.int32)
 
     def __len__(self) -> int:
         return len(self.sizes)

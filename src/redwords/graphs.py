@@ -167,7 +167,9 @@ def build_table(an: Analysis) -> IntersectionTable:
     """The intersection table T(w) with exactly |R(w)| filled cells."""
     bp, cp = an.partition(BRAID), an.partition(COMMUTATION)
     ws, cols = an.word_set, len(cp)
-    keys = bp.class_of * cols + cp.class_of
+    keys = bp.class_of.astype(np.int64)  # b * c can pass 2^31
+    keys *= cols
+    keys += cp.class_of
     order = np.argsort(keys, kind="stable")  # row-major, then by word
     keys = keys[order]
     same = keys[1:] == keys[:-1]
@@ -178,8 +180,8 @@ def build_table(an: Analysis) -> IntersectionTable:
             f"cell {divmod(int(keys[j]), cols)} would hold both "
             f"{ws.texts[order[j]]} and {ws.texts[order[j + 1]]}"
         )
-    cells = IndexPairs(*np.divmod(keys, cols))
-    return IntersectionTable(rows=len(bp), cols=cols, cells=cells, words=order, word_set=ws)
+    return IntersectionTable(rows=len(bp), cols=cols, cells=_split(keys, cols), words=order,
+                             word_set=ws)
 
 
 def jump_property(
@@ -370,16 +372,25 @@ class Analysis:
 def _distinct_pairs(a, b) -> IndexPairs:
     """The distinct pairs (a[j], b[j]) of two id arrays, in increasing order.
 
-    Each pair is coded as one integer; one sort and a mask keep the first of
-    each run.  np.unique takes a hash-table route that is about a hundred
-    times slower on these arrays (numpy 2.4).
+    Each pair is coded as one int64, since a * m + b can pass 2^31; one sort
+    and a mask keep the first of each run.  np.unique takes a hash-table
+    route that is about a hundred times slower on these arrays (numpy 2.4).
     """
     m = int(b.max()) + 1 if len(b) else 1
-    keys = a * m + b
+    keys = a.astype(np.int64)
+    keys *= m
+    keys += b
     keys.sort()
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    return IndexPairs(*np.divmod(keys[first], m))
+    return _split(keys[first], m)
+
+
+def _split(keys, m: int) -> IndexPairs:
+    """The pairs (k // m, k % m) of int64 keys k, as int32 arrays."""
+    pairs = IndexPairs(np.empty(len(keys), np.int32), np.empty(len(keys), np.int32))
+    np.divmod(keys, m, out=(pairs.u, pairs.v), casting="same_kind")
+    return pairs
 
 
 def analyse(w: Permutation, cap: int | None = DEFAULT_WORD_CAP) -> Analysis:

@@ -59,10 +59,16 @@ its workers import the engine themselves.  No other scan loads numpy.  The
 braid move edges come from the ranks of the enumeration walk
 (``classes.move_edges``), and the commutation classes from pointers to
 their normal forms (``classes.commutation_partition``), so the scan builds
-no commutation move edge.  On 2 vCPUs every check on all of S_7 at 2
-workers takes 20-21 s with a peak of 221-228 MB per worker, against 31-34 s
-and 431-432 MB when the commutation classes were the components of their
-move edges, in alternating runs.
+no commutation move edge.  Word indices, class ids and move edges are
+int32, and R(w) is written into its letter matrix in place.  On 2 vCPUs
+every check on all of S_7 at 2 workers takes 20-22 s with a peak of
+145-148 MB per worker, against 223 MB with int64 indices and a letter
+matrix per element of [e, w], and 431-432 MB when the commutation classes
+were the components of their move edges, in alternating runs; all of S_8
+peaks at 181 MB per worker, against 287 MB.  On Linux the pool ends with
+this process: each worker asks to be killed when the thread that started it
+ends (``_start_worker``), so a killed scan leaves none waiting for work; a
+fork server's workers, which are not this process's children, do not.
 
 A scan that enumerates R(w) analyses it once per symmetry orbit {w, w^-1,
 w0 w w0, w0 w^-1 w0}: 230 orbits for the 720 permutations of S_6, 1,388 for
@@ -513,10 +519,29 @@ _width_queue = None
 _WIDTH_CHUNK = 512
 
 
-def _start_worker(width_queue) -> None:
-    """The initializer of a scan's pool workers."""
+# prctl's request for a signal when the thread that started the caller ends.
+_PR_SET_PDEATHSIG = 1
+
+
+def _start_worker(width_queue, parent: int | None) -> None:
+    """The initializer of a scan's pool workers.
+
+    A worker that ``parent`` started on Linux asks to be killed when the
+    thread that started it ends, so no worker outlives a scan whose process
+    is killed: orphaned, it would wait on the pool's call queue for ever.
+    A parent that died before the request shows as another parent.  The
+    workers write no file, so dying at any point loses only their batch.
+    Run in ``parent`` itself, as by a stand-in pool, it asks nothing.
+    """
     global _width_queue
     _width_queue = width_queue
+    if parent not in (None, os.getpid()):
+        import ctypes
+        import signal
+
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _send_widths(n: int, count: int) -> None:
@@ -730,11 +755,16 @@ def _pooled(options: ScanOptions, workers: int, verify, work, batches: list, nee
         from . import graphs  # noqa: F401
 
         context = multiprocessing.get_context("fork")
-    width_queue = (context or multiprocessing.get_context()).SimpleQueue()
+    pool_context = context or multiprocessing.get_context()
+    # A fork server's workers are its children, not this process's.
+    direct = sys.platform == "linux" and pool_context.get_start_method() != "forkserver"
+    parent = os.getpid() if direct else None
+    width_queue = pool_context.SimpleQueue()
     sender = None
     try:
         with ProcessPoolExecutor(
-            workers, mp_context=context, initializer=_start_worker, initargs=(width_queue,)
+            workers, mp_context=context, initializer=_start_worker,
+            initargs=(width_queue, parent),
         ) as pool:
             try:
                 sender = pool.submit(_send_widths, options.n, count) if count else None

@@ -313,12 +313,12 @@ def _ranked_against_search_sets():
 
 @pytest.mark.parametrize("kind", [BRAID, COMMUTATION])
 def test_ranked_move_edges_equal_the_search(kind):
-    # The same pairs in the same order, by position and then by word, with
-    # the same index type, on all of S_1-S_5, w0 of S_6 and [465321].
+    # The same pairs in the same order, by position and then by word, on
+    # all of S_1-S_5, w0 of S_6 and [465321]; the word indices are int32.
     for w in _ranked_against_search_sets():
         ws = enumerate_words(w)
         got, want = move_edges(ws, kind), search_move_edges(ws.rows, kind)
-        assert got.u.dtype == want.u.dtype and got.v.dtype == want.v.dtype, w
+        assert got.u.dtype == got.v.dtype == np.int32, w
         assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v), w
 
 
@@ -361,19 +361,19 @@ def test_commutation_classes_by_pointers_equal_the_components_of_the_moves():
         got = commutation_partition(ws)
         want, _ = partition_with_edges(ws, COMMUTATION)
         assert got.kind == COMMUTATION and got.word_set is ws
-        assert got.class_of.dtype == want.class_of.dtype, w
+        assert got.class_of.dtype == want.class_of.dtype == np.int32, w
         assert np.array_equal(got.class_of, want.class_of), w
 
 
 def test_pointers_taken_a_few_rows_at_a_time_are_those_taken_at_once():
     # Each word's pointer reads only its own letters and walk, so the batch
-    # size cannot change it; the pointers are int32, the class ids int64.
+    # size cannot change it; the pointers and the class ids are int32.
     ws = enumerate_words(longest_element(5))
     whole = _lowered(ws.rows, ws.blocks)
     assert whole.dtype == np.int32 and len(whole) == len(ws) == 768
     for batch in (1, 7, len(ws) - 1):
         assert np.array_equal(_lowered(ws.rows, ws.blocks, batch), whole), batch
-    assert commutation_partition(ws).class_of.dtype == np.int64
+    assert commutation_partition(ws).class_of.dtype == np.int32
 
 
 def test_rows_that_are_not_the_walks_raise_key_error_from_the_pointers():

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from itertools import combinations, product
 from math import factorial
 
@@ -237,6 +238,52 @@ def test_cap():
         count_words(w, cap=5)
     assert len(enumerate_words(w, cap=6)) == 6
     assert len(enumerate_words(w, cap=None)) == 6
+
+
+@pytest.mark.parametrize("delta", [{1: 1}, {1: 1, 2: -1}])
+def test_a_doctored_walk_size_raises(monkeypatch, delta):
+    # The walk writes each block at the sum of the sizes before it.  One
+    # word too many in the block of s_1 w0 disagrees with the count; one
+    # word moved from the block of s_2 w0 to it leaves a zero row in one
+    # block and overwrites a word of the next, which breaks the order.
+    w = longest_element(4)
+    assert len(enumerate_words(w)) == 16
+    top = w.inverse().window
+    doctored_size = {reduced_words._swap(top, a - 1): d for a, d in delta.items()}  # s_a w0
+    real = reduced_words._walk
+
+    def doctored(inv, memo, *args):
+        first = inv not in memo
+        u = real(inv, memo, *args)
+        if first and inv in doctored_size:
+            args[-1][u] += doctored_size[inv]  # its entry of ``sizes``
+        return u
+
+    monkeypatch.setattr(reduced_words, "_walk", doctored)
+    with pytest.raises(AssertionError):
+        enumerate_words(w)
+
+
+def test_the_walk_holds_no_word_outside_the_matrix():
+    # The words are written into the final matrix in place: on 1,998,568
+    # words of 16 letters, the traced peak stays within 10 % of the matrix.
+    w = parse_window("[57283164]")
+    count_words(w)  # imports and caches that are not the fill's
+    tracemalloc.start()
+    try:
+        ws = enumerate_words(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ws) == 1_998_568
+    assert peak <= 1.1 * ws.rows.nbytes, (peak, ws.rows.nbytes)
+
+
+def test_a_word_set_past_int32_indices_raises():
+    # w0 of S_8 has about 2.1e13 reduced words: uncapped, it raises before
+    # any walk instead of overflowing the int32 word indices.
+    with pytest.raises(OverflowError):
+        enumerate_words(longest_element(8), cap=None)
 
 
 def test_count_words_leaves_no_cyclic_garbage():
